@@ -147,3 +147,38 @@ func TestQuickConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: after every step of a seeded register/deregister sequence —
+// duplicates, removals of absent replicas, sparse file ids, and sites
+// past the counted range included — CountBySite agrees with a
+// brute-force per-site HasReplica scan.
+func TestCountBySiteMatchesBruteForce(t *testing.T) {
+	const sites = 7
+	for seed := uint64(1); seed <= 20; seed++ {
+		src := rng.New(seed)
+		c := New()
+		counts := make([]int, sites)
+		for step := 0; step < 400; step++ {
+			file := storage.FileID(src.Intn(12) * (1 + src.Intn(40))) // sparse ids with gaps
+			site := topology.SiteID(src.Intn(sites + 2))              // some outside [0, sites)
+			if src.Intn(3) == 0 {
+				c.Deregister(file, site)
+			} else {
+				c.Register(file, site)
+			}
+			c.CountBySite(counts)
+			for s := 0; s < sites; s++ {
+				want := 0
+				for f := 0; f < c.FileIDBound(); f++ {
+					if c.HasReplica(storage.FileID(f), topology.SiteID(s)) {
+						want++
+					}
+				}
+				if counts[s] != want {
+					t.Fatalf("seed %d step %d: CountBySite[%d] = %d, brute force %d",
+						seed, step, s, counts[s], want)
+				}
+			}
+		}
+	}
+}

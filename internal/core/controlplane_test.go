@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
+	"chicsim/internal/storage"
+	"chicsim/internal/topology"
 )
 
 func controlPlaneCfg(seed uint64) Config {
@@ -167,6 +170,119 @@ func TestWatchdogWarnModeCompletes(t *testing.T) {
 	}
 	if r.WatchdogViolations == 0 {
 		t.Error("violations not counted in Warn mode")
+	}
+}
+
+// seedReplicaDrift registers a phantom replica of the highest-numbered
+// (least popular) file in the catalog at the first site whose store does
+// not hold it, leaving every store untouched — the catalog/store
+// disagreement replica_accounting exists to catch. A popular file would
+// soon be fetched to that site for real, which heals the drift.
+func seedReplicaDrift(t *testing.T, sim *Simulation) {
+	t.Helper()
+	f := storage.FileID(sim.cat.NumFiles() - 1)
+	for i, st := range sim.sites {
+		if !st.Store().Peek(f) {
+			sim.cat.Register(f, topology.SiteID(i))
+			return
+		}
+	}
+	t.Fatalf("every site holds file %d; no room to seed drift", f)
+}
+
+// TestWatchdogCatchesReplicaDrift seeds catalog drift and asserts Fail
+// mode aborts within one ObsInterval naming replica_accounting, while
+// Warn mode completes with the violations counted.
+func TestWatchdogCatchesReplicaDrift(t *testing.T) {
+	cfg := controlPlaneCfg(5)
+	cfg.Watchdog = watchdog.Fail
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedReplicaDrift(t, sim)
+	r, err := sim.Run()
+	if err == nil {
+		t.Fatal("Run succeeded despite catalog/store replica drift")
+	}
+	if !strings.Contains(err.Error(), "replica_accounting") {
+		t.Fatalf("error does not name the violated invariant: %v", err)
+	}
+	if r.SimEndTime > cfg.ObsInterval {
+		t.Errorf("run continued to t=%v after the violation (ObsInterval %v)", r.SimEndTime, cfg.ObsInterval)
+	}
+
+	cfg.Watchdog = watchdog.Warn
+	sim, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedReplicaDrift(t, sim)
+	r, err = sim.Run()
+	if err != nil {
+		t.Fatalf("Warn mode failed the run: %v", err)
+	}
+	if !r.Completed || r.WatchdogViolations == 0 {
+		t.Errorf("Warn mode: Completed %v, %d violations; want a completed run with violations",
+			r.Completed, r.WatchdogViolations)
+	}
+}
+
+// TestControlTickAllocatesNothing: once a run has grown the scratch
+// buffers, a full control-plane tick — link-load refresh, gauge sync and
+// every watchdog check — allocates nothing.
+func TestControlTickAllocatesNothing(t *testing.T) {
+	cfg := controlPlaneCfg(3)
+	cfg.Metrics = registry.New()
+	cfg.Watchdog = watchdog.Fail
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := sim.controlTick(true); err != nil { // syncGauges + wd.Tick
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("control-plane tick allocated %v times", allocs)
+	}
+}
+
+// BenchmarkWatchdogTick times one watchdog tick (link-load refresh plus
+// every invariant check) over the catalog a finished run left behind, on
+// the default 30-site grid and on the 1000-site grid of
+// kernelbench.ScaleConfig. Replica accounting is one pass over the
+// replica lists, so the cost follows replicas, not sites × files.
+func BenchmarkWatchdogTick(b *testing.B) {
+	for _, sites := range []int{30, 1000} {
+		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.TotalJobs = 2000
+			if sites == 1000 { // kernelbench.ScaleConfig's grid
+				cfg.Sites, cfg.RegionFanout, cfg.Users, cfg.Files = 1000, 25, 4000, 2000
+				cfg.TotalJobs = 8000
+			}
+			cfg.ObsInterval = 600
+			cfg.Watchdog = watchdog.Fail
+			sim, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sim.controlTick(true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

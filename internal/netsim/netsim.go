@@ -360,12 +360,14 @@ func (n *Network) EffectiveBandwidths() []float64 {
 	return out
 }
 
-// LinkLoads returns, per link, the sum of the current rates of the flows
-// crossing it. With correct flow control this never exceeds
-// EffectiveBandwidth for any link — the watchdog's link-capacity
-// invariant.
-func (n *Network) LinkLoads() []float64 {
-	out := make([]float64, n.topo.NumLinks())
+// LinkLoads writes, per link, the sum of the current rates of the flows
+// crossing it into dst and returns it. dst is resized to the link count,
+// reallocated only when its capacity is short, so a caller that keeps the
+// returned slice samples every tick without allocating. With correct flow
+// control no load exceeds EffectiveBandwidth for its link — the
+// watchdog's link-capacity invariant.
+func (n *Network) LinkLoads(dst []float64) []float64 {
+	out := n.linkScratch(dst)
 	for _, f := range n.ordered {
 		for _, l := range f.path {
 			out[l] += f.rate
@@ -374,15 +376,15 @@ func (n *Network) LinkLoads() []float64 {
 	return out
 }
 
-// LinkBacklogBytes returns, per link, the bytes still to be delivered by
+// LinkBacklogBytes writes, per link, the bytes still to be delivered by
 // the flows crossing it (each flow's remaining bytes counted on every
-// link of its route), projected to the current virtual time. It is
-// strictly read-only — deliberately NOT calling settle(), whose
-// incremental float accounting would make results depend on when
-// monitoring sampled it.
-func (n *Network) LinkBacklogBytes() []float64 {
+// link of its route), projected to the current virtual time, into dst and
+// returns it (reusing dst's storage as LinkLoads does). It is strictly
+// read-only — deliberately NOT calling settle(), whose incremental float
+// accounting would make results depend on when monitoring sampled it.
+func (n *Network) LinkBacklogBytes(dst []float64) []float64 {
 	dt := n.eng.Now() - n.lastAccounts
-	out := make([]float64, n.topo.NumLinks())
+	out := n.linkScratch(dst)
 	for _, f := range n.ordered {
 		rem := f.remaining
 		if dt > 0 {
@@ -396,6 +398,18 @@ func (n *Network) LinkBacklogBytes() []float64 {
 		}
 	}
 	return out
+}
+
+// linkScratch returns dst resized to one zeroed entry per link, reusing
+// its storage when the capacity suffices.
+func (n *Network) linkScratch(dst []float64) []float64 {
+	nl := n.topo.NumLinks()
+	if cap(dst) < nl {
+		return make([]float64, nl)
+	}
+	dst = dst[:nl]
+	clear(dst)
+	return dst
 }
 
 // CongestionOn reports the current number of active flows crossing the
