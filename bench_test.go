@@ -537,10 +537,10 @@ func BenchmarkSimScale(b *testing.B) {
 
 // BenchmarkResultsMemory streams one million synthetic completed jobs
 // through the results pipeline in each mode (body shared with
-// cmd/resultsbench, which tracks it in BENCH_results_mem.json). Full
-// mode's B/op and live-results-bytes grow linearly with jobs — one
-// JobRecord each — while bounded mode's stay flat, the O(1) claim of
-// DESIGN.md §17 as a measurement.
+// cmd/kernelbench's ResultsMemory entries, tracked in
+// BENCH_results_mem.json). Full mode's B/op and live-results-bytes grow
+// linearly with jobs — one JobRecord each — while bounded mode's stay
+// flat, the O(1) claim of DESIGN.md §17 as a measurement.
 func BenchmarkResultsMemory(b *testing.B) {
 	for _, mode := range []string{core.ResultModeFull, core.ResultModeBounded} {
 		b.Run(mode, kernelbench.ResultsMemory(mode, 1_000_000))

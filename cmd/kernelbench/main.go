@@ -8,6 +8,11 @@
 //	kernelbench -prev BENCH_kernel.json       # run, diff against a baseline
 //	kernelbench -prev ... -gate 15            # also fail on >15% ns/op regressions
 //	kernelbench -only SimScale                # run one sub-suite (substring match)
+//	kernelbench -skip SimScale,ResultsMemory  # skip several sub-suites
+//
+// The ResultsMemory entries stream 1M synthetic jobs through the results
+// pipeline in full and bounded mode; their live-results-bytes column
+// tracks bounded mode's O(1) results memory (DESIGN.md §17).
 //
 // With -prev, a benchstat-style delta table is printed and each result
 // carries baseline_ns_per_op/speedup fields, making regressions visible
@@ -26,6 +31,7 @@ import (
 	"strings"
 	"testing"
 
+	"chicsim/internal/core"
 	"chicsim/internal/kernelbench"
 	"chicsim/internal/netsim"
 )
@@ -87,6 +93,12 @@ func suite() []struct {
 			body func(*testing.B)
 		}{"SimScale/" + tier.name, kernelbench.SimScale(tier.jobs)})
 	}
+	for _, mode := range []string{core.ResultModeFull, core.ResultModeBounded} {
+		out = append(out, struct {
+			name string
+			body func(*testing.B)
+		}{"ResultsMemory/" + mode, kernelbench.ResultsMemory(mode, 1_000_000)})
+	}
 	return out
 }
 
@@ -95,7 +107,7 @@ func main() {
 	prevPath := flag.String("prev", "", "baseline BENCH_kernel.json to diff against")
 	skipSim := flag.Bool("skip-sim", false, "skip the end-to-end Sim benchmark")
 	only := flag.String("only", "", "run only benchmarks whose name contains this substring")
-	skip := flag.String("skip", "", "skip benchmarks whose name contains this substring")
+	skip := flag.String("skip", "", "skip benchmarks whose name contains one of these comma-separated substrings")
 	gate := flag.Float64("gate", 0, "with -prev: exit 1 if any ns/op regresses more than this percent (0 disables)")
 	flag.Parse()
 
@@ -125,7 +137,7 @@ func main() {
 		if *only != "" && !strings.Contains(bm.name, *only) {
 			continue
 		}
-		if *skip != "" && strings.Contains(bm.name, *skip) {
+		if *skip != "" && containsAny(bm.name, *skip) {
 			continue
 		}
 		br := testing.Benchmark(bm.body)
@@ -187,4 +199,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "If the slowdown is intended and justified, apply the bench-regression-ok label (see DESIGN.md §18) or refresh the committed baseline.")
 		os.Exit(1)
 	}
+}
+
+// containsAny reports whether name contains any of the comma-separated
+// substrings in list.
+func containsAny(name, list string) bool {
+	for _, sub := range strings.Split(list, ",") {
+		if strings.Contains(name, sub) {
+			return true
+		}
+	}
+	return false
 }

@@ -81,7 +81,7 @@ func TestClosest(t *testing.T) {
 	}
 	// Local replica always wins (0 hops).
 	c.Register(1, 0)
-	sib := topo.Siblings(0)[0]
+	sib := topo.Region(0)[1] // the region is ascending, so [0] is site 0
 	c.Register(1, sib)
 	if got, ok := c.Closest(1, 0, topo); !ok || got != 0 {
 		t.Fatalf("Closest = %v %v, want local site 0", got, ok)

@@ -14,7 +14,6 @@ package gis
 import (
 	"chicsim/internal/catalog"
 	"chicsim/internal/desim"
-	"chicsim/internal/rng"
 	"chicsim/internal/storage"
 	"chicsim/internal/topology"
 )
@@ -39,14 +38,11 @@ type Service struct {
 	// is indistinguishable from the historical fresh-copy-per-refresh
 	// because no caller retains a returned slice across events.
 	snapRep [][]topology.SiteID
-	tieBuf  []topology.SiteID // LeastLoaded's detached tie set, reused
 
 	// masterOf records each file's permanent master site. Masters are
 	// globally advertised even under regional scoping (the initial
 	// dataset→site mapping is static, well-known metadata).
 	masterOf map[storage.FileID]topology.SiteID
-	// regionOf caches each site's region membership for scoped queries.
-	regionOf []map[topology.SiteID]bool
 }
 
 // New creates a service. staleness <= 0 yields an oracle.
@@ -73,23 +69,6 @@ func (s *Service) SetMaster(f storage.FileID, site topology.SiteID) {
 	s.masterOf[f] = site
 }
 
-// region returns the membership set of viewer's region (viewer+siblings),
-// built lazily.
-func (s *Service) region(viewer topology.SiteID) map[topology.SiteID]bool {
-	if s.regionOf == nil {
-		s.regionOf = make([]map[topology.SiteID]bool, s.topo.NumSites())
-	}
-	if m := s.regionOf[viewer]; m != nil {
-		return m
-	}
-	m := map[topology.SiteID]bool{viewer: true}
-	for _, sib := range s.topo.Siblings(viewer) {
-		m[sib] = true
-	}
-	s.regionOf[viewer] = m
-	return m
-}
-
 // ReplicasVisibleTo returns the replica locations of f that a scheduler at
 // `viewer` can see under regional information scoping: replicas within the
 // viewer's region plus the file's master site. This models the paper's
@@ -97,11 +76,10 @@ func (s *Service) region(viewer topology.SiteID) map[topology.SiteID]bool {
 // view of the Grid" — without a global replica index.
 func (s *Service) ReplicasVisibleTo(f storage.FileID, viewer topology.SiteID) []topology.SiteID {
 	all := s.Replicas(f)
-	region := s.region(viewer)
 	master, hasMaster := s.masterOf[f]
 	out := make([]topology.SiteID, 0, len(all))
 	for _, r := range all {
-		if region[r] || (hasMaster && r == master) {
+		if s.topo.SameRegion(r, viewer) || (hasMaster && r == master) {
 			out = append(out, r)
 		}
 	}
@@ -194,8 +172,8 @@ func (s *Service) HasReplica(f storage.FileID, site topology.SiteID) bool {
 	if f < 0 || int(f) >= len(s.snapRep) {
 		return false
 	}
-	// Linear scan, not binary search: LeastLoaded's tie-set writes can
-	// reorder a snapshot entry within a staleness window (see below), so
+	// Linear scan, not binary search: the ES's least-loaded tie-set
+	// writes can reorder a snapshot entry within a staleness window, so
 	// the slice is not guaranteed sorted.
 	for _, r := range s.snapRep[f] {
 		if r == site {
@@ -203,51 +181,4 @@ func (s *Service) HasReplica(f storage.FileID, site topology.SiteID) bool {
 		}
 	}
 	return false
-}
-
-// LeastLoaded returns the candidate with minimum load; ties are broken
-// uniformly at random from the tied set so no site is systematically
-// preferred. It panics on an empty candidate list.
-//
-// Allocation-free emulation of the historical append-into-subslice tie
-// set: while the running best set still aliases candidates, ties are
-// written into candidates[1:] — observable when the caller passes a
-// snapshot-backed slice, and recorded runs depend on those writes — and
-// once a strictly lower load appears the set moves to a reused scratch
-// buffer (the historical fresh allocation), after which candidates is
-// never written again.
-func (s *Service) LeastLoaded(candidates []topology.SiteID, tie *rng.Source) topology.SiteID {
-	if len(candidates) == 0 {
-		panic("gis: LeastLoaded with no candidates")
-	}
-	n := 1
-	aliased := true
-	bestLoad := s.Load(candidates[0])
-	det := s.tieBuf[:0]
-	for i := 1; i < len(candidates); i++ {
-		c := candidates[i]
-		l := s.Load(c)
-		switch {
-		case l < bestLoad:
-			bestLoad = l
-			aliased = false
-			det = append(det[:0], c)
-		case l == bestLoad:
-			if aliased {
-				candidates[n] = c
-				n++
-			} else {
-				det = append(det, c)
-			}
-		}
-	}
-	s.tieBuf = det
-	best := candidates[:n]
-	if !aliased {
-		best = det
-	}
-	if len(best) == 1 || tie == nil {
-		return best[0]
-	}
-	return rng.Pick(tie, best)
 }

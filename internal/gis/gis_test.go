@@ -101,10 +101,11 @@ func TestReplicasVisibleTo(t *testing.T) {
 	cat.DefineFile(1, 1e9)
 
 	viewer := topology.SiteID(0)
-	sibs := topo.Siblings(viewer)
+	region := topo.Region(viewer)
+	sib := region[1] // the region is ascending, so [0] is the viewer
 	var outsider topology.SiteID = -1
-	inRegion := map[topology.SiteID]bool{viewer: true}
-	for _, s := range sibs {
+	inRegion := map[topology.SiteID]bool{}
+	for _, s := range region {
 		inRegion[s] = true
 	}
 	for s := topology.SiteID(0); s < 9; s++ {
@@ -117,7 +118,7 @@ func TestReplicasVisibleTo(t *testing.T) {
 	// Master at the outsider: globally visible even out of region.
 	svc.SetMaster(1, outsider)
 	cat.Register(1, outsider)
-	cat.Register(1, sibs[0])
+	cat.Register(1, sib)
 	got := svc.ReplicasVisibleTo(1, viewer)
 	if len(got) != 2 {
 		t.Fatalf("visible = %v, want master + sibling", got)
@@ -149,37 +150,6 @@ func TestReplicasVisibleTo(t *testing.T) {
 	if !found {
 		t.Fatal("site cannot see its own replica")
 	}
-}
-
-func TestLeastLoaded(t *testing.T) {
-	_, _, loads, svc := fixture(t, 0)
-	loads[0], loads[1], loads[2], loads[3] = 4, 1, 1, 9
-	cands := []topology.SiteID{0, 1, 2, 3}
-	counts := map[topology.SiteID]int{}
-	tie := rng.New(3)
-	for i := 0; i < 300; i++ {
-		counts[svc.LeastLoaded(cands, tie)]++
-	}
-	if counts[0] != 0 || counts[3] != 0 {
-		t.Fatalf("picked loaded site: %v", counts)
-	}
-	if counts[1] == 0 || counts[2] == 0 {
-		t.Fatalf("ties not randomized: %v", counts)
-	}
-	// Deterministic without a tie-breaker: first in candidate order.
-	if got := svc.LeastLoaded(cands, nil); got != 1 {
-		t.Fatalf("deterministic pick = %d, want 1", got)
-	}
-}
-
-func TestLeastLoadedEmptyPanics(t *testing.T) {
-	_, _, _, svc := fixture(t, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	svc.LeastLoaded(nil, nil)
 }
 
 func TestFileSizeUnknownPanics(t *testing.T) {

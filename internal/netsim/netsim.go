@@ -112,6 +112,7 @@ type Network struct {
 	linkEpoch []uint64           // epoch mark per link: "touched by the current change"
 	epoch     uint64             // current reflow epoch (bumping it clears all marks)
 	oneLink   [1]topology.LinkID // changed-set buffer for single-link updates
+	routeBuf  []topology.LinkID  // CongestionOn/PredictTime route scratch
 	lsBuf     []linkState        // maxMin per-link progressive-filling state
 	frozenBuf []bool             // maxMin frozen marks, indexed like ordered
 
@@ -217,7 +218,7 @@ func (n *Network) Transfer(src, dst topology.SiteID, size float64, done func(*Fl
 	f.Size = size
 	f.remaining = size
 	f.rate = 0
-	f.path = n.topo.Route(src, dst)
+	f.path = n.topo.Route(f.path[:0], src, dst)
 	f.done = done
 	f.started = n.eng.Now()
 	n.nextID++
@@ -263,7 +264,7 @@ func (n *Network) release(f *Flow) {
 	}
 	f.pooled = true
 	f.done = nil
-	f.path = nil
+	f.path = f.path[:0] // keep the capacity for the next transfer
 	n.pool = append(n.pool, f)
 }
 
@@ -417,7 +418,8 @@ func (n *Network) linkScratch(dst []float64) []float64 {
 // extension uses this as its congestion signal.
 func (n *Network) CongestionOn(src, dst topology.SiteID) int {
 	maxFlows := 0
-	for _, l := range n.topo.Route(src, dst) {
+	n.routeBuf = n.topo.Route(n.routeBuf[:0], src, dst)
+	for _, l := range n.routeBuf {
 		if c := n.onLink[l]; c > maxFlows {
 			maxFlows = c
 		}
@@ -429,7 +431,8 @@ func (n *Network) CongestionOn(src, dst topology.SiteID) int {
 // move size bytes between the sites (∞-free: returns size/rate with at
 // least one competing slot assumed for the new flow itself).
 func (n *Network) PredictTime(src, dst topology.SiteID, size float64) float64 {
-	path := n.topo.Route(src, dst)
+	n.routeBuf = n.topo.Route(n.routeBuf[:0], src, dst)
+	path := n.routeBuf
 	if len(path) == 0 {
 		return 0
 	}

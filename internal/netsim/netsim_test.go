@@ -94,8 +94,7 @@ func TestDisjointPathsDoNotContend(t *testing.T) {
 	topo := hier(t, 4, 2, 10e6)
 	n := New(eng, topo, EqualShare)
 	// Find two sibling pairs; transfers within each pair are disjoint.
-	sibsOf0 := topo.Siblings(0)
-	a := sibsOf0[0]
+	a := topo.Region(0)[1] // the region is ascending, so [0] is site 0
 	var c, d topology.SiteID = -1, -1
 	for s := topology.SiteID(1); s < 4; s++ {
 		if s != a {

@@ -85,7 +85,7 @@ func (l LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular 
 // telemetry-driven extensions can rank exactly the baseline's candidate
 // set with richer scores.
 func CandidateTargets(g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
-	cands := WithoutReplica(g, f, g.Topology().Siblings(self), self)
+	cands := WithoutReplica(g, f, g.Topology().Region(self), self)
 	if len(cands) == 0 {
 		// Widen to the whole grid, filtering site ids directly — same
 		// order as materializing 0..NumSites-1 first, without the
@@ -111,7 +111,7 @@ func (Cascade) Name() string { return "DataCascade" }
 
 // Decide implements scheduler.Dataset.
 func (c Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
-	neighbors := g.Topology().Siblings(self)
+	neighbors := g.Topology().Region(self)
 	var out []scheduler.Replication
 	for _, p := range popular {
 		cands := WithoutReplica(g, p.File, neighbors, self)

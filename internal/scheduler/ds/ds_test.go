@@ -70,7 +70,7 @@ func TestRandomNoCandidates(t *testing.T) {
 func TestLeastLoadedPrefersIdleNeighbor(t *testing.T) {
 	v := schedtest.NewHierView(9, 3)
 	self := topology.SiteID(0)
-	sibs := v.Topo.Siblings(self)
+	sibs := v.Siblings(self)
 	if len(sibs) != 2 {
 		t.Fatalf("expected 2 siblings, got %d", len(sibs))
 	}
@@ -87,7 +87,7 @@ func TestLeastLoadedWidensWhenNeighborsSaturated(t *testing.T) {
 	v := schedtest.NewHierView(9, 3)
 	self := topology.SiteID(0)
 	holders := []topology.SiteID{self}
-	holders = append(holders, v.Topo.Siblings(self)...)
+	holders = append(holders, v.Siblings(self)...)
 	v.Reps[1] = holders
 	l := LeastLoaded{Src: rng.New(1)}
 	reps := l.Decide(v, self, pops(1))
@@ -105,7 +105,7 @@ func TestCascadeStopsWhenTierSaturated(t *testing.T) {
 	v := schedtest.NewHierView(9, 3)
 	self := topology.SiteID(0)
 	holders := []topology.SiteID{self}
-	holders = append(holders, v.Topo.Siblings(self)...)
+	holders = append(holders, v.Siblings(self)...)
 	v.Reps[1] = holders
 	c := Cascade{Src: rng.New(1)}
 	if got := c.Decide(v, self, pops(1)); len(got) != 0 {
@@ -118,7 +118,7 @@ func TestCascadeStopsWhenTierSaturated(t *testing.T) {
 		t.Fatalf("Decide = %v", reps)
 	}
 	isSib := false
-	for _, s := range v.Topo.Siblings(self) {
+	for _, s := range v.Siblings(self) {
 		if reps[0].Target == s {
 			isSib = true
 		}

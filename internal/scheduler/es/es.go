@@ -202,7 +202,7 @@ func DataPresentCandidates(g scheduler.GridView, j *job.Job) []topology.SiteID {
 type Regional struct {
 	Src *rng.Source
 
-	region, holders, ties []topology.SiteID // reused per-placement scratch
+	holders, ties []topology.SiteID // reused per-placement scratch
 }
 
 // Name implements scheduler.External.
@@ -210,18 +210,13 @@ func (*Regional) Name() string { return "JobRegional" }
 
 // Place implements scheduler.External.
 func (r *Regional) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
-	r.region = append(r.region[:0], j.Origin)
-	r.region = append(r.region, g.Topology().Siblings(j.Origin)...)
+	// The origin is considered first, then the rest of its region.
 	holders := r.holders[:0]
-	for _, s := range r.region {
-		hasAll := true
-		for _, f := range j.Inputs {
-			if !g.HasReplica(f, s) {
-				hasAll = false
-				break
-			}
-		}
-		if hasAll {
+	if hasAllInputs(g, j, j.Origin) {
+		holders = append(holders, j.Origin)
+	}
+	for _, s := range g.Topology().Region(j.Origin) {
+		if s != j.Origin && hasAllInputs(g, j, s) {
 			holders = append(holders, s)
 		}
 	}
@@ -230,6 +225,16 @@ func (r *Regional) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 		return j.Origin
 	}
 	return leastLoaded(g, holders, r.Src, &r.ties)
+}
+
+// hasAllInputs reports whether site s holds every input of j.
+func hasAllInputs(g scheduler.GridView, j *job.Job, s topology.SiteID) bool {
+	for _, f := range j.Inputs {
+		if !g.HasReplica(f, s) {
+			return false
+		}
+	}
+	return true
 }
 
 // BestCost is an extension: it estimates, for every site, the job's

@@ -173,7 +173,7 @@ func TestAdaptiveLocalDataStaysLocal(t *testing.T) {
 func TestRegionalPrefersInRegionData(t *testing.T) {
 	v := schedtest.NewHierView(9, 3)
 	origin := topology.SiteID(0)
-	sibs := v.Topo.Siblings(origin)
+	sibs := v.Siblings(origin)
 	// Data at a sibling: run there.
 	v.Reps[1] = []topology.SiteID{sibs[0]}
 	r := Regional{Src: rng.New(1)}
@@ -206,7 +206,7 @@ func TestRegionalPrefersInRegionData(t *testing.T) {
 func TestRegionalLeastLoadedAmongHolders(t *testing.T) {
 	v := schedtest.NewHierView(9, 3)
 	origin := topology.SiteID(0)
-	sibs := v.Topo.Siblings(origin)
+	sibs := v.Siblings(origin)
 	v.Reps[1] = []topology.SiteID{sibs[0], sibs[1]}
 	v.Loads[sibs[0]] = 9
 	v.Loads[sibs[1]] = 1

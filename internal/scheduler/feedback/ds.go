@@ -49,7 +49,7 @@ func (d *DS) Decide(g scheduler.GridView, self topology.SiteID, popular []schedu
 func (d *DS) targets(g scheduler.GridView, p scheduler.PopularFile, self topology.SiteID) []topology.SiteID {
 	switch d.Params.DSNeighborhood {
 	case 1: // siblings only: cascading stays in-region, never widens
-		return ds.WithoutReplica(g, p.File, g.Topology().Siblings(self), self)
+		return ds.WithoutReplica(g, p.File, g.Topology().Region(self), self)
 	case 2: // whole grid from the start
 		all := make([]topology.SiteID, 0, g.NumSites())
 		for s := 0; s < g.NumSites(); s++ {

@@ -163,8 +163,9 @@ type Tracker struct {
 	fault   []float64 // decaying fault score per site
 	faultAt []float64 // virtual time fault[i] was last updated
 
-	linkBusy    []float64 // EWMA of load/capacity per link
-	linkBacklog []float64 // EWMA of backlog/capacity (seconds) per link
+	linkBusy    []float64         // EWMA of load/capacity per link
+	linkBacklog []float64         // EWMA of backlog/capacity (seconds) per link
+	route       []topology.LinkID // RouteBacklogSeconds scratch
 
 	gisAge float64
 }
@@ -371,7 +372,8 @@ func (t *Tracker) RouteBacklogSeconds(a, b topology.SiteID) float64 {
 		return 0
 	}
 	worst := 0.0
-	for _, l := range t.topo.Route(a, b) {
+	t.route = t.topo.Route(t.route[:0], a, b)
+	for _, l := range t.route {
 		if t.linkBacklog[l] > worst {
 			worst = t.linkBacklog[l]
 		}

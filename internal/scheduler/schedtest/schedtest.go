@@ -46,6 +46,17 @@ func NewHierView(sites, fanout int) *View {
 	return v
 }
 
+// Siblings returns the other sites of s's region, in ascending order.
+func (v *View) Siblings(s topology.SiteID) []topology.SiteID {
+	var out []topology.SiteID
+	for _, r := range v.Topo.Region(s) {
+		if r != s {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // NumSites implements scheduler.GridView.
 func (v *View) NumSites() int { return v.Topo.NumSites() }
 

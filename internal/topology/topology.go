@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"chicsim/internal/rng"
 )
@@ -46,10 +47,8 @@ type Node struct {
 type Topology struct {
 	nodes    []Node
 	links    []Link
-	siteNode []NodeID     // site -> leaf node
-	routes   [][][]LinkID // [srcSite][dstSite] -> ordered link path
-	hops     [][]int
-	siblings [][]SiteID // site -> same-parent sites, precomputed
+	siteNode []NodeID   // site -> leaf node
+	regions  [][]SiteID // parent node -> its leaf sites, ascending
 }
 
 // Config controls hierarchy construction.
@@ -104,7 +103,7 @@ func NewHierarchical(cfg Config, src *rng.Source) (*Topology, error) {
 		region := regionNodes[i%regions]
 		t.siteNode[site] = t.addNode(region, SiteID(site), cfg.Bandwidth)
 	}
-	t.computeRoutes()
+	t.bucketRegions()
 	return t, nil
 }
 
@@ -158,7 +157,7 @@ func NewTiered(fanouts []int, bandwidths []float64) (*Topology, error) {
 		}
 		frontier = next
 	}
-	t.computeRoutes()
+	t.bucketRegions()
 	return t, nil
 }
 
@@ -166,17 +165,7 @@ func NewTiered(fanouts []int, bandwidths []float64) (*Topology, error) {
 // hub. Useful for tests and for isolating contention at a single shared
 // point.
 func NewStar(sites int, bandwidth float64) (*Topology, error) {
-	if sites <= 0 || bandwidth <= 0 {
-		return nil, fmt.Errorf("topology: invalid star parameters (sites=%d bw=%v)", sites, bandwidth)
-	}
-	t := &Topology{}
-	hub := t.addNode(-1, -1, bandwidth)
-	t.siteNode = make([]NodeID, sites)
-	for s := 0; s < sites; s++ {
-		t.siteNode[s] = t.addNode(hub, SiteID(s), bandwidth)
-	}
-	t.computeRoutes()
-	return t, nil
+	return NewTiered([]int{sites}, []float64{bandwidth})
 }
 
 func (t *Topology) addNode(parent NodeID, site SiteID, bw float64) NodeID {
@@ -192,53 +181,26 @@ func (t *Topology) addNode(parent NodeID, site SiteID, bw float64) NodeID {
 	return id
 }
 
-func (t *Topology) computeRoutes() {
-	n := len(t.siteNode)
-	t.routes = make([][][]LinkID, n)
-	t.hops = make([][]int, n)
-	for a := 0; a < n; a++ {
-		t.routes[a] = make([][]LinkID, n)
-		t.hops[a] = make([]int, n)
-		for b := 0; b < n; b++ {
-			path := t.route(t.siteNode[a], t.siteNode[b])
-			t.routes[a][b] = path
-			t.hops[a][b] = len(path)
-		}
-	}
-	t.siblings = make([][]SiteID, n)
-	for a := 0; a < n; a++ {
-		parent := t.nodes[t.siteNode[a]].Parent
-		var out []SiteID
-		for s, nid := range t.siteNode {
-			if s != a && t.nodes[nid].Parent == parent {
-				out = append(out, SiteID(s))
-			}
-		}
-		t.siblings[a] = out
+// bucketRegions groups the sites by their parent node, each group in
+// ascending site order.
+func (t *Topology) bucketRegions() {
+	t.regions = make([][]SiteID, len(t.nodes))
+	for s, nid := range t.siteNode {
+		p := t.nodes[nid].Parent
+		t.regions[p] = append(t.regions[p], SiteID(s))
 	}
 }
 
-// route climbs both endpoints to their lowest common ancestor, collecting
-// uplinks; the down-side links are appended in descent order.
-func (t *Topology) route(a, b NodeID) []LinkID {
-	if a == b {
-		return nil
-	}
-	var up, down []LinkID
-	x, y := a, b
-	for x != y {
-		if t.nodes[x].Depth >= t.nodes[y].Depth {
-			up = append(up, t.nodes[x].up)
-			x = t.nodes[x].Parent
+// lca climbs both nodes to their lowest common ancestor.
+func (t *Topology) lca(a, b NodeID) NodeID {
+	for a != b {
+		if t.nodes[a].Depth >= t.nodes[b].Depth {
+			a = t.nodes[a].Parent
 		} else {
-			down = append(down, t.nodes[y].up)
-			y = t.nodes[y].Parent
+			b = t.nodes[b].Parent
 		}
 	}
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
-	}
-	return up
+	return a
 }
 
 // NumSites returns the number of leaf sites.
@@ -253,18 +215,44 @@ func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 // Links returns all links (do not mutate).
 func (t *Topology) Links() []Link { return t.links }
 
-// Route returns the ordered list of links between two sites (empty when
-// src == dst). The returned slice is shared; callers must not mutate it.
-func (t *Topology) Route(src, dst SiteID) []LinkID { return t.routes[src][dst] }
+// Route appends the ordered links between two sites to buf and returns
+// the extended slice: the uplinks from src to the lowest common ancestor,
+// then the downlinks toward dst in descent order. Nothing is appended when
+// src == dst. Route allocates only when buf lacks the capacity.
+func (t *Topology) Route(buf []LinkID, src, dst SiteID) []LinkID {
+	a, b := t.siteNode[src], t.siteNode[dst]
+	top := t.lca(a, b)
+	for ; a != top; a = t.nodes[a].Parent {
+		buf = append(buf, t.nodes[a].up)
+	}
+	// The descent is found bottom-up, so fill its slots from the end.
+	end := len(buf) + t.nodes[b].Depth - t.nodes[top].Depth
+	buf = slices.Grow(buf, end-len(buf))[:end]
+	for i := end - 1; b != top; i, b = i-1, t.nodes[b].Parent {
+		buf[i] = t.nodes[b].up
+	}
+	return buf
+}
 
 // Hops returns the number of links on the route between two sites.
-func (t *Topology) Hops(src, dst SiteID) int { return t.hops[src][dst] }
+func (t *Topology) Hops(src, dst SiteID) int {
+	a, b := t.siteNode[src], t.siteNode[dst]
+	return t.nodes[a].Depth + t.nodes[b].Depth - 2*t.nodes[t.lca(a, b)].Depth
+}
 
-// Siblings returns the sites that share src's regional parent, excluding
-// src itself. These are the "neighbors" used by the DataLeastLoaded dataset
-// scheduler. The returned slice is precomputed and shared; callers must
-// not mutate it.
-func (t *Topology) Siblings(src SiteID) []SiteID { return t.siblings[src] }
+// Region returns the sites that share s's parent, s included, in
+// ascending order. A site's region minus itself is its set of
+// "neighbors", the candidates the DataLeastLoaded dataset scheduler
+// replicates to. The slice is shared; callers must not mutate it.
+func (t *Topology) Region(s SiteID) []SiteID {
+	return t.regions[t.nodes[t.siteNode[s]].Parent]
+}
+
+// SameRegion reports whether two sites share a parent; a site is in its
+// own region.
+func (t *Topology) SameRegion(a, b SiteID) bool {
+	return t.nodes[t.siteNode[a]].Parent == t.nodes[t.siteNode[b]].Parent
+}
 
 // IsBackbone reports whether the link connects the root to a regional
 // center (the shared top-tier links of the hierarchy).

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -34,7 +37,7 @@ func TestHierarchicalShape(t *testing.T) {
 
 func TestRouteSelf(t *testing.T) {
 	topo := mustHier(t, 10, 3)
-	if len(topo.Route(4, 4)) != 0 {
+	if len(topo.Route(nil, 4, 4)) != 0 {
 		t.Fatal("self route should be empty")
 	}
 	if topo.Hops(4, 4) != 0 {
@@ -46,7 +49,7 @@ func TestRouteValidity(t *testing.T) {
 	topo := mustHier(t, 30, 6)
 	for a := 0; a < 30; a++ {
 		for b := 0; b < 30; b++ {
-			path := topo.Route(SiteID(a), SiteID(b))
+			path := topo.Route(nil, SiteID(a), SiteID(b))
 			if a == b {
 				continue
 			}
@@ -87,24 +90,20 @@ func TestRouteSymmetricLength(t *testing.T) {
 func TestSiblingHops(t *testing.T) {
 	topo := mustHier(t, 30, 6)
 	for s := 0; s < 30; s++ {
-		sibs := topo.Siblings(SiteID(s))
-		if len(sibs) == 0 {
+		region := topo.Region(SiteID(s))
+		if len(region) < 2 {
 			t.Fatalf("site %d has no siblings", s)
 		}
-		for _, sib := range sibs {
-			if h := topo.Hops(SiteID(s), sib); h != 2 {
+		for _, sib := range region {
+			if h := topo.Hops(SiteID(s), sib); sib != SiteID(s) && h != 2 {
 				t.Fatalf("sibling hop count = %d, want 2", h)
 			}
 		}
 	}
 	// Non-siblings cross the root: 4 hops in a 3-tier tree.
 	s0 := SiteID(0)
-	sibs := map[SiteID]bool{}
-	for _, sib := range topo.Siblings(s0) {
-		sibs[sib] = true
-	}
 	for s := 1; s < 30; s++ {
-		if !sibs[SiteID(s)] {
+		if !topo.SameRegion(s0, SiteID(s)) {
 			if h := topo.Hops(s0, SiteID(s)); h != 4 {
 				t.Fatalf("cross-region hops = %d, want 4", h)
 			}
@@ -132,15 +131,15 @@ func TestNewTieredFourLevels(t *testing.T) {
 		t.Fatalf("cross-grid hops = %d, want 6", h)
 	}
 	// Sibling sites: 2 hops.
-	sibs := topo.Siblings(0)
-	if len(sibs) != 1 {
-		t.Fatalf("siblings = %v, want exactly 1", sibs)
+	region := topo.Region(0)
+	if len(region) != 2 {
+		t.Fatalf("region = %v, want site 0 and exactly 1 sibling", region)
 	}
-	if h := topo.Hops(0, sibs[0]); h != 2 {
+	if h := topo.Hops(0, region[1]); h != 2 {
 		t.Fatalf("sibling hops = %d", h)
 	}
 	// Tiered bandwidths land on the right links: leaf uplinks are 1 MB/s.
-	leafUp := topo.Route(0, sibs[0])[0]
+	leafUp := topo.Route(nil, 0, region[1])[0]
 	if topo.Link(leafUp).Bandwidth != 1e6 {
 		t.Fatalf("leaf uplink bw = %v", topo.Link(leafUp).Bandwidth)
 	}
@@ -165,7 +164,7 @@ func TestNewTieredMatchesHierarchicalShape(t *testing.T) {
 	// Route validity across the tree.
 	for a := 0; a < 30; a += 7 {
 		for b := 0; b < 30; b += 5 {
-			path := topo.Route(SiteID(a), SiteID(b))
+			path := topo.Route(nil, SiteID(a), SiteID(b))
 			if (a == b) != (len(path) == 0) {
 				t.Fatalf("route %d->%d length %d", a, b, len(path))
 			}
@@ -228,8 +227,17 @@ func TestStar(t *testing.T) {
 	if topo.Hops(0, 1) != 2 {
 		t.Fatalf("star hops = %d, want 2", topo.Hops(0, 1))
 	}
-	if len(topo.Siblings(0)) != 4 {
-		t.Fatalf("star siblings = %d, want 4", len(topo.Siblings(0)))
+	if len(topo.Region(0)) != 5 {
+		t.Fatalf("star region = %d sites, want 5", len(topo.Region(0)))
+	}
+	// Hub is node 0; site s is node s+1, hung off the hub by link s.
+	for s := 0; s < 5; s++ {
+		if l := topo.Link(LinkID(s)); l.A != 0 || l.B != NodeID(s+1) || l.Bandwidth != 1e6 {
+			t.Fatalf("star link %d = %+v", s, l)
+		}
+		if topo.siteNode[s] != NodeID(s+1) {
+			t.Fatalf("star site %d at node %d", s, topo.siteNode[s])
+		}
 	}
 }
 
@@ -241,7 +249,7 @@ func TestSingleSite(t *testing.T) {
 	if topo.NumSites() != 1 {
 		t.Fatal("want 1 site")
 	}
-	if len(topo.Route(0, 0)) != 0 {
+	if len(topo.Route(nil, 0, 0)) != 0 {
 		t.Fatal("self route must be empty")
 	}
 }
@@ -270,7 +278,7 @@ func TestDeterministicConstruction(t *testing.T) {
 	a := mustHier(t, 30, 6)
 	b := mustHier(t, 30, 6)
 	for s := 0; s < 30; s++ {
-		sa, sb := a.Siblings(SiteID(s)), b.Siblings(SiteID(s))
+		sa, sb := a.Region(SiteID(s)), b.Region(SiteID(s))
 		if len(sa) != len(sb) {
 			t.Fatal("non-deterministic construction")
 		}
@@ -294,7 +302,7 @@ func TestQuickRoutes(t *testing.T) {
 		}
 		for a := 0; a < sites; a++ {
 			for b := 0; b < sites; b++ {
-				path := topo.Route(SiteID(a), SiteID(b))
+				path := topo.Route(nil, SiteID(a), SiteID(b))
 				if (a == b) != (len(path) == 0) {
 					return false
 				}
@@ -322,5 +330,168 @@ func TestQuickRoutes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRoute is the reference climb: walk the deeper endpoint up until the
+// two meet, collecting uplinks from a and, separately, the links above b,
+// which are then appended in descent order.
+func refRoute(t *Topology, a, b NodeID) []LinkID {
+	var up, down []LinkID
+	for a != b {
+		if t.nodes[a].Depth >= t.nodes[b].Depth {
+			up = append(up, t.nodes[a].up)
+			a = t.nodes[a].Parent
+		} else {
+			down = append(down, t.nodes[b].up)
+			b = t.nodes[b].Parent
+		}
+	}
+	for i := len(down) - 1; i >= 0; i-- {
+		up = append(up, down[i])
+	}
+	return up
+}
+
+// shapes returns the topologies the property tests run over: hierarchies
+// of several sizes, fanouts and seeds, 3- and 4-tier NewTiered trees, and
+// stars.
+func shapes(t *testing.T) map[string]*Topology {
+	t.Helper()
+	out := map[string]*Topology{}
+	for _, sites := range []int{1, 2, 7, 30, 61} {
+		for _, fanout := range []int{1, 3, 6, 25} {
+			for _, seed := range []uint64{1, 2, 99} {
+				topo, err := NewHierarchical(Config{Sites: sites, RegionFanout: fanout, Bandwidth: 1e6}, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("hier/sites=%d/fanout=%d/seed=%d", sites, fanout, seed)] = topo
+			}
+		}
+	}
+	for _, fanouts := range [][]int{{5, 6}, {1, 4}, {2, 3, 2}, {3, 1, 4}} {
+		topo, err := NewTiered(fanouts, []float64{100e6, 10e6, 1e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("tiered/%v", fanouts)] = topo
+	}
+	for _, sites := range []int{1, 5, 40} {
+		topo, err := NewStar(sites, 1e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("star/%d", sites)] = topo
+	}
+	return out
+}
+
+// TestRouteMatchesReferenceClimb checks every pairwise route against the
+// reference climb, link for link, appended behind a non-empty prefix that
+// must survive untouched, and checks Hops against the route's length.
+func TestRouteMatchesReferenceClimb(t *testing.T) {
+	prefix := []LinkID{-7, -8, -9}
+	for name, topo := range shapes(t) {
+		n := topo.NumSites()
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				want := refRoute(topo, topo.siteNode[a], topo.siteNode[b])
+				buf := append(make([]LinkID, 0, 4), prefix...)
+				got := topo.Route(buf, SiteID(a), SiteID(b))
+				if !slices.Equal(got[:len(prefix)], prefix) {
+					t.Fatalf("%s: route %d->%d overwrote the prefix: %v", name, a, b, got)
+				}
+				if !slices.Equal(got[len(prefix):], want) {
+					t.Fatalf("%s: route %d->%d = %v, want %v", name, a, b, got[len(prefix):], want)
+				}
+				if h := topo.Hops(SiteID(a), SiteID(b)); h != len(want) {
+					t.Fatalf("%s: hops %d->%d = %d, want %d", name, a, b, h, len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestRegionMatchesSameParentScan checks Region and SameRegion against a
+// brute-force scan for sites that share a parent.
+func TestRegionMatchesSameParentScan(t *testing.T) {
+	for name, topo := range shapes(t) {
+		n := topo.NumSites()
+		parent := func(s int) NodeID { return topo.nodes[topo.siteNode[s]].Parent }
+		for a := 0; a < n; a++ {
+			var want []SiteID
+			for b := 0; b < n; b++ {
+				same := parent(a) == parent(b)
+				if same {
+					want = append(want, SiteID(b))
+				}
+				if got := topo.SameRegion(SiteID(a), SiteID(b)); got != same {
+					t.Fatalf("%s: SameRegion(%d, %d) = %v, want %v", name, a, b, got, same)
+				}
+			}
+			if got := topo.Region(SiteID(a)); !slices.Equal(got, want) {
+				t.Fatalf("%s: Region(%d) = %v, want %v", name, a, got, want)
+			}
+		}
+	}
+}
+
+func TestRouteAndHopsAllocateNothing(t *testing.T) {
+	topo, err := NewTiered([]int{3, 4, 5}, []float64{1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]LinkID, 0, 6)
+	n := SiteID(topo.NumSites())
+	var i SiteID
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = topo.Route(buf[:0], i%n, (i*7+3)%n)
+		i++
+	}); allocs != 0 {
+		t.Errorf("Route into a sized buffer: %v allocs/run, want 0", allocs)
+	}
+	hops := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		hops += topo.Hops(i%n, (i*7+3)%n)
+		i++
+	}); allocs != 0 {
+		t.Errorf("Hops: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestSetupHeapAt5000Sites bounds the live heap of a 5000-site hierarchy.
+// The tree costs O(sites·depth); an all-pairs route table would cost
+// gigabytes at this size.
+func TestSetupHeapAt5000Sites(t *testing.T) {
+	const boundMB = 4
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	topo, err := NewHierarchical(Config{Sites: 5000, RegionFanout: 25, Bandwidth: 1e6}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(topo)
+	if mb := (float64(ms.HeapAlloc) - float64(before)) / 1e6; mb > boundMB {
+		t.Fatalf("5000-site topology holds %.1f MB live, want <= %d MB", mb, boundMB)
+	}
+}
+
+// BenchmarkTopologySetup times building the ScaleConfig-shaped hierarchy
+// (fanout 25) at growing site counts.
+func BenchmarkTopologySetup(b *testing.B) {
+	for _, sites := range []int{500, 1000, 2000, 5000} {
+		b.Run(fmt.Sprintf("sites=%d", sites), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewHierarchical(Config{Sites: sites, RegionFanout: 25, Bandwidth: 1e6}, rng.New(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
