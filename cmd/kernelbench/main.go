@@ -83,6 +83,10 @@ func suite() []struct {
 	out = append(out, struct {
 		name string
 		body func(*testing.B)
+	}{"ReflowEqualShare/sites=1000/flows=1000", kernelbench.ReflowGrid})
+	out = append(out, struct {
+		name string
+		body func(*testing.B)
 	}{"Sim", kernelbench.Sim})
 	for _, tier := range []struct {
 		name string

@@ -17,7 +17,7 @@ import (
 var updateKernelGolden = flag.Bool("update-kernel-golden", false,
 	"rewrite testdata/kernel_golden.json with hashes from the current kernel")
 
-// kernelGoldenCases enumerates the runs whose Results the kernel swap must
+// kernelGoldenCases enumerates the runs whose Results the kernel must
 // reproduce bit-for-bit: all 12 ES×DS combos of the paper's campaign, the
 // max-min sharing ablation on a transfer-heavy cell, and two faulted runs
 // (one per sharing policy) that exercise the flow-cancellation matrix and
@@ -86,14 +86,17 @@ func hashResults(t *testing.T, r Results) string {
 }
 
 // TestKernelGolden is the byte-identity regression for the simulation
-// kernel: the hashes in testdata/kernel_golden.json were captured on the
-// pre-optimization kernel (container/heap event queue, full netsim
-// reflow), so any drift in event ordering, float arithmetic, or rng
-// consumption introduced by kernel changes fails here. Regenerate with
+// kernel: the hashes in testdata/kernel_golden.json pin the Results of the
+// current kernel (4-ary event heap, lazily anchored netsim accounting), so
+// any drift in event ordering, float arithmetic, or rng consumption fails
+// here. A hash says only that a run changed, not that it is still right;
+// the semantic oracles (netsim's eager reference model, TestPaperShapes)
+// judge that. Regenerate with
 //
 //	go test ./internal/core -run TestKernelGolden -update-kernel-golden
 //
-// only when a semantic change to Results is intended and reviewed.
+// only when a change to Results is intended, reviewed, and passes those
+// oracles.
 func TestKernelGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -515,9 +515,8 @@ func (s *Simulation) wireFeedback(e scheduler.External) {
 }
 
 // telemetry assembles one feedback tracker sample from live state (not
-// the GIS snapshot). Strictly read-only: LinkBacklogBytes deliberately
-// avoids settling the network, so sampling perturbs nothing but the
-// engine's event count.
+// the GIS snapshot). Strictly read-only: netsim's projections write no
+// state, so sampling perturbs nothing but the engine's event count.
 func (s *Simulation) telemetry() feedback.Sample {
 	q := make([]int, len(s.sites))
 	for i, st := range s.sites {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -337,20 +338,35 @@ func TestResponseNeverBelowCompute(t *testing.T) {
 }
 
 // TestPaperShapes asserts the six qualitative results of the paper (see
-// DESIGN.md §5) at full Table 1 scale with a single seed per cell.
+// DESIGN.md §5) at full Table 1 scale, each on the mean of three seeds per
+// cell — the paper's own protocol — so no ordering rests on one seed's
+// luck.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale shape check skipped in -short mode")
 	}
+	const seeds = 3
 	cfg := DefaultConfig()
+	cells := map[string]Results{}
 	run := func(esName, dsName string, bw float64) Results {
-		c := cfg
-		c.ES, c.DS, c.BandwidthMBps = esName, dsName, bw
-		res, err := RunConfig(c)
-		if err != nil {
-			t.Fatalf("%s+%s@%g: %v", esName, dsName, bw, err)
+		key := fmt.Sprintf("%s+%s@%g", esName, dsName, bw)
+		if mean, ok := cells[key]; ok {
+			return mean
 		}
-		return res
+		var mean Results
+		for seed := uint64(1); seed <= seeds; seed++ {
+			c := cfg
+			c.ES, c.DS, c.BandwidthMBps, c.Seed = esName, dsName, bw, seed
+			res, err := RunConfig(c)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", key, seed, err)
+			}
+			mean.AvgResponseSec += res.AvgResponseSec / seeds
+			mean.AvgDataPerJobMB += res.AvgDataPerJobMB / seeds
+			mean.IdleFrac += res.IdleFrac / seeds
+		}
+		cells[key] = mean
+		return mean
 	}
 
 	noRep := map[string]Results{}

@@ -148,13 +148,12 @@ func (e *Engine) At(t Time, fn func()) Event {
 
 // Reschedule moves a pending event to fire after delay seconds of virtual
 // time, assigning it a fresh sequence number — exactly as if it had been
-// cancelled and scheduled anew, but without the queue churn. netsim's
-// reflow leans on the equivalence: rescheduling every completion event in
-// admission order consumes sequence numbers identically to the
-// cancel+schedule pattern it replaced, which keeps the (time, seq) event
-// order — and therefore simulation Results — byte-identical. Rescheduling
-// an event that fired, was cancelled, or whose node was recycled is a
-// caller bug and panics.
+// cancelled and scheduled anew, but without the queue churn. A moved event
+// therefore ties with equal-time events the way a fresh Schedule would
+// (it fires after every event already queued for that instant), and a
+// caller may use either form without changing the event order.
+// Rescheduling an event that fired, was cancelled, or whose node was
+// recycled is a caller bug and panics.
 func (e *Engine) Reschedule(ev Event, delay Time) {
 	if math.IsNaN(delay) || delay < 0 {
 		panic(fmt.Sprintf("desim: Reschedule with invalid delay %v", delay))

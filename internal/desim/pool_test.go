@@ -52,10 +52,9 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 	}
 }
 
-// TestRescheduleMatchesCancelPlusSchedule pins the equivalence netsim's
-// reflow relies on: Reschedule assigns a fresh sequence number, so among
-// equal-time events the rescheduled one sorts exactly where a fresh
-// Schedule would.
+// TestRescheduleMatchesCancelPlusSchedule pins Reschedule's documented
+// equivalence: it assigns a fresh sequence number, so among equal-time
+// events the rescheduled one sorts exactly where a fresh Schedule would.
 func TestRescheduleMatchesCancelPlusSchedule(t *testing.T) {
 	e := New()
 	var order []string

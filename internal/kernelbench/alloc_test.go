@@ -23,6 +23,7 @@ func TestKernelBodiesRunAllocFree(t *testing.T) {
 		body func(*testing.B)
 	}{
 		{"EngineStep", EngineStep},
+		{"ReflowEqualShare/sites=1000/flows=1000", ReflowGrid},
 	}
 	for _, p := range []struct {
 		label  string

@@ -76,36 +76,59 @@ func EngineStep(b *testing.B) {
 // Reflow returns a benchmark body measuring one flow admission + one flow
 // cancellation against a pool of `flows` concurrent background transfers
 // on the paper's 30-site hierarchical topology — exactly the two reflow
-// passes every transfer start/abort costs the simulation.
+// passes every transfer start/abort costs the simulation. On 30 sites the
+// background flows cross almost every link, so each change point touches
+// most of them.
 func Reflow(policy netsim.SharingPolicy, flows int) func(*testing.B) {
 	return func(b *testing.B) {
-		eng := desim.New()
 		topo, err := topology.NewHierarchical(
 			topology.Config{Sites: 30, RegionFanout: 6, Bandwidth: 10e6}, rng.New(1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := netsim.New(eng, topo, policy)
-		const sites = 30
-		x := uint64(0x2545F4914F6CDD1D)
-		for i := 0; i < flows; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			src := topology.SiteID(x % sites)
-			dst := topology.SiteID((x>>32 + 1 + x%sites) % sites)
-			if dst == src {
-				dst = (dst + 1) % sites
-			}
-			// Effectively infinite: background flows never complete.
-			n.Transfer(src, dst, 1e15, nil)
+		reflow(b, topo, policy, flows)
+	}
+}
+
+// ReflowGrid is Reflow under EqualShare with 1000 background flows on
+// ScaleConfig's 1000-site tree, where a flow shares its site links with
+// few others: the shape on which a change point's cost should track the
+// flows it touches, not the flows in flight.
+func ReflowGrid(b *testing.B) {
+	cfg := ScaleConfig(0)
+	topo, err := topology.NewHierarchical(topology.Config{
+		Sites:        cfg.Sites,
+		RegionFanout: cfg.RegionFanout,
+		Bandwidth:    cfg.BandwidthMBps * 1e6,
+	}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reflow(b, topo, netsim.EqualShare, 1000)
+}
+
+func reflow(b *testing.B, topo *topology.Topology, policy netsim.SharingPolicy, flows int) {
+	eng := desim.New()
+	n := netsim.New(eng, topo, policy)
+	sites := uint64(topo.NumSites())
+	x := uint64(0x2545F4914F6CDD1D)
+	for i := 0; i < flows; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		src := topology.SiteID(x % sites)
+		dst := topology.SiteID((x>>32 + 1 + x%sites) % sites)
+		if dst == src {
+			dst = (dst + 1) % topology.SiteID(sites)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f := n.Transfer(topology.SiteID(i%sites), topology.SiteID((i+7)%sites), 1e15, nil)
-			n.Cancel(f)
-		}
+		// Effectively infinite: background flows never complete.
+		n.Transfer(src, dst, 1e15, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := n.Transfer(topology.SiteID(uint64(i)%sites), topology.SiteID(uint64(i+7)%sites), 1e15, nil)
+		n.Cancel(f)
 	}
 }
 

@@ -18,6 +18,11 @@ func benchReflow(b *testing.B, policy netsim.SharingPolicy) {
 	}
 }
 
-func BenchmarkReflowEqualShare(b *testing.B) { benchReflow(b, netsim.EqualShare) }
+// The sites=1000 entry runs on ScaleConfig's tree, where a change point
+// touches only the few flows sharing its links.
+func BenchmarkReflowEqualShare(b *testing.B) {
+	benchReflow(b, netsim.EqualShare)
+	b.Run("sites=1000/flows=1000", kernelbench.ReflowGrid)
+}
 
 func BenchmarkReflowMaxMin(b *testing.B) { benchReflow(b, netsim.MaxMinFair) }

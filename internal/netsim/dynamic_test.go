@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"chicsim/internal/desim"
@@ -156,15 +157,28 @@ func TestOrderedFlowListConsistency(t *testing.T) {
 		delay := float64(i) * 2
 		eng.Schedule(delay, func() { handles = append(handles, n.Transfer(a, b, size, nil)) })
 	}
-	// Cancel some mid-run and check the map and ordered list agree.
+	// Cancel some mid-run and check the active list, the flows' ordinals
+	// and the per-link flow index agree.
 	check := func() {
-		if len(n.flows) != len(n.ordered) {
-			t.Fatalf("flows map %d != ordered %d", len(n.flows), len(n.ordered))
-		}
-		for _, f := range n.ordered {
-			if n.flows[f.ID] != f {
-				t.Fatal("ordered list references a non-active flow")
+		onPaths := 0
+		for i, f := range n.active {
+			if f.ord != i || f.pooled || f.canceled {
+				t.Fatalf("active[%d] holds flow %d with ord %d (pooled %v, canceled %v)",
+					i, f.ID, f.ord, f.pooled, f.canceled)
 			}
+			onPaths += len(f.path)
+		}
+		indexed := 0
+		for l := range n.links {
+			for _, f := range n.links[l].flows {
+				if f.ord < 0 || !slices.Contains(f.path, topology.LinkID(l)) {
+					t.Fatalf("link %d indexes flow %d, which is inactive or does not cross it", l, f.ID)
+				}
+			}
+			indexed += len(n.links[l].flows)
+		}
+		if indexed != onPaths {
+			t.Fatalf("per-link index holds %d entries, active paths cross %d", indexed, onPaths)
 		}
 	}
 	for i := 0; i < 30; i++ {
@@ -222,10 +236,10 @@ func TestEqualShareRateFormula(t *testing.T) {
 	}
 	checks := 0
 	verify := func() {
-		for _, f := range n.ordered {
+		for _, f := range n.active {
 			want := -1.0
 			for _, l := range f.path {
-				share := topo.Link(l).Bandwidth / float64(n.onLink[l])
+				share := topo.Link(l).Bandwidth / float64(len(n.links[l].flows))
 				if want < 0 || share < want {
 					want = share
 				}

@@ -9,13 +9,15 @@
 // minimum share along its path. A max-min fair policy is provided as an
 // ablation (see DESIGN.md §6).
 //
-// Whenever any flow starts or finishes, all in-flight flows have their
-// transferred bytes advanced at the old rates and their completion events
-// rescheduled at the new rates. The reflow is incremental: only flows
-// sharing a link with the change have their equal-share rate recomputed
-// (the others' shares are provably unchanged), and completion events are
-// moved in place via desim's Reschedule instead of cancel+schedule churn —
-// see DESIGN.md §13 for why this keeps results byte-identical.
+// A change point — a flow starting, finishing or being cancelled, or a
+// link's bandwidth changing — costs work only for the flows and links it
+// touches. Each flow holds its remaining bytes as of its own anchor time,
+// and each link its rate sum and byte total as of its own; a value is
+// brought forward only when the rate behind it changes, and the read-side
+// projections (LinkBytes, LinkUtilization, LinkBacklogBytes) extrapolate
+// to now without writing anything. Under EqualShare a per-link flow index
+// yields just the flows on the changed links, and a flow's completion
+// event moves only when its rate actually changed (DESIGN.md §13).
 package netsim
 
 import (
@@ -63,21 +65,24 @@ type Flow struct {
 	ID         int
 	Src, Dst   topology.SiteID
 	Size       float64 // total bytes
-	remaining  float64
-	rate       float64 // bytes/sec at last update
+	remaining  float64 // bytes not yet delivered as of at
+	at         desim.Time
+	rate       float64 // bytes/sec since at
 	path       []topology.LinkID
 	done       func(*Flow)
 	ev         desim.Event // pending completion event; zero when stalled or inactive
 	completeFn func()      // completion closure, built once per pooled struct
 	localFn    func()      // zero-hop/zero-size delivery closure
 	activateFn func()      // startup-latency expiry closure
-	ord        int         // index into Network.ordered while active
+	ord        int         // index into Network.active while active; -1 otherwise
+	mark       uint64      // reflow epoch that last visited the flow
 	started    desim.Time
 	canceled   bool
 	pooled     bool // on the free list (double-release guard)
 }
 
-// Remaining returns the bytes not yet delivered as of the last rate change.
+// Remaining returns the bytes not yet delivered as of the flow's last rate
+// change.
 func (f *Flow) Remaining() float64 { return f.remaining }
 
 // Rate returns the current transfer rate in bytes/sec.
@@ -97,31 +102,57 @@ type Network struct {
 	// default — the paper models transfer cost purely as size/bandwidth.
 	latencyPerHop float64
 
-	// bwOverride holds dynamic per-link bandwidth overrides (failures,
-	// degradations); -1 means "use the topology's nominal bandwidth".
-	bwOverride []float64
-
-	flows   map[int]*Flow
-	ordered []*Flow // active flows in admission order: deterministic iteration
-	onLink  []int   // active flow count per link
-	nextID  int
-	pool    []*Flow // recycled Flow structs with prebuilt closures
+	links  []link  // per-link state, indexed by LinkID
+	active []*Flow // active flows; a flow's ord is its index here
+	nextID int
+	pool   []*Flow // recycled Flow structs with prebuilt closures
 
 	// Reflow scratch state, reused across calls so the per-change-point
 	// hot path allocates nothing.
-	linkEpoch []uint64           // epoch mark per link: "touched by the current change"
-	epoch     uint64             // current reflow epoch (bumping it clears all marks)
-	oneLink   [1]topology.LinkID // changed-set buffer for single-link updates
-	routeBuf  []topology.LinkID  // CongestionOn/PredictTime route scratch
-	lsBuf     []linkState        // maxMin per-link progressive-filling state
-	frozenBuf []bool             // maxMin frozen marks, indexed like ordered
+	epoch    uint64             // current reflow epoch (bumping it clears all flow marks)
+	oneLink  [1]topology.LinkID // changed-set buffer for single-link updates
+	routeBuf []topology.LinkID  // CongestionOn/PredictTime route scratch
+	lsBuf    []linkState        // maxMin per-link progressive-filling state
+	rateBuf  []float64          // maxMin new rates, indexed like active; -1 = unfrozen
 
-	// Accounting.
-	bytesMoved   float64   // bytes delivered by completed flows
-	transfers    int       // completed transfers
-	linkBusy     []float64 // integral of (active?1:0) dt per link
-	linkBytes    []float64 // bytes attributed per link (Σ rate·dt)
-	lastAccounts desim.Time
+	bytesMoved float64 // bytes delivered by completed flows
+	transfers  int     // completed transfers
+}
+
+// link is one link's state: its bandwidth override, the flows crossing it,
+// and its accounting. The byte total is held as of bytesAt and moves
+// forward only when rateSum changes; the busy time is closed off only when
+// the link empties.
+type link struct {
+	bw        float64 // dynamic override (failure, degradation); -1 = nominal
+	flows     []*Flow // active flows crossing the link, in admission order
+	rateSum   float64 // Σ rate of flows
+	bytes     float64 // bytes carried up to bytesAt
+	bytesAt   desim.Time
+	busy      float64    // seconds occupied, up to the last time the link emptied
+	busySince desim.Time // when the link last became occupied
+}
+
+// addRate brings the link's byte total forward to now at the old rate sum,
+// then shifts the sum by delta.
+func (lk *link) addRate(now desim.Time, delta float64) {
+	lk.bytes += lk.rateSum * (now - lk.bytesAt)
+	lk.bytesAt = now
+	lk.rateSum += delta
+}
+
+// drop removes f from the link's flow list, keeping admission order.
+func (lk *link) drop(f *Flow) {
+	for i, g := range lk.flows {
+		if g == f {
+			last := len(lk.flows) - 1
+			copy(lk.flows[i:], lk.flows[i+1:])
+			lk.flows[last] = nil
+			lk.flows = lk.flows[:last]
+			return
+		}
+	}
+	panic("netsim: flow missing from its link's index")
 }
 
 // linkState is per-link progressive-filling bookkeeping for maxMin.
@@ -147,16 +178,10 @@ func New(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) *Netw
 		eng:    eng,
 		topo:   topo,
 		policy: policy,
-		flows:  make(map[int]*Flow),
-		onLink: make([]int, topo.NumLinks()),
-
-		bwOverride: make([]float64, topo.NumLinks()),
-		linkEpoch:  make([]uint64, topo.NumLinks()),
-		linkBusy:   make([]float64, topo.NumLinks()),
-		linkBytes:  make([]float64, topo.NumLinks()),
+		links:  make([]link, topo.NumLinks()),
 	}
-	for i := range n.bwOverride {
-		n.bwOverride[i] = -1
+	for i := range n.links {
+		n.links[i].bw = -1
 	}
 	return n
 }
@@ -175,12 +200,12 @@ func (n *Network) SetLatencyPerHop(seconds float64) {
 // outage, or scheduled Degradation window) is currently in force on the
 // link. The fault injector uses this to avoid stacking faults on a link
 // that is already impaired.
-func (n *Network) OverrideActive(l topology.LinkID) bool { return n.bwOverride[l] >= 0 }
+func (n *Network) OverrideActive(l topology.LinkID) bool { return n.links[l].bw >= 0 }
 
 // linkBandwidth returns the effective bandwidth of a link, honoring any
 // dynamic override.
 func (n *Network) linkBandwidth(l topology.LinkID) float64 {
-	if o := n.bwOverride[l]; o >= 0 {
+	if o := n.links[l].bw; o >= 0 {
 		return o
 	}
 	return n.topo.Link(l).Bandwidth
@@ -194,11 +219,10 @@ func (n *Network) SetLinkBandwidth(l topology.LinkID, bytesPerSec float64) {
 	if math.IsNaN(bytesPerSec) {
 		panic("netsim: NaN bandwidth")
 	}
-	n.settle()
 	if bytesPerSec < 0 {
-		n.bwOverride[l] = -1
+		n.links[l].bw = -1
 	} else {
-		n.bwOverride[l] = bytesPerSec
+		n.links[l].bw = bytesPerSec
 	}
 	n.oneLink[0] = l
 	n.reflow(n.oneLink[:])
@@ -249,7 +273,7 @@ func (n *Network) newFlow() *Flow {
 		f.canceled = false
 		return f
 	}
-	f := &Flow{}
+	f := &Flow{ord: -1}
 	f.completeFn = func() { n.complete(f) }
 	f.localFn = func() { n.finishLocal(f) }
 	f.activateFn = func() { n.activate(f) }
@@ -273,13 +297,17 @@ func (n *Network) activate(f *Flow) {
 	if f.canceled {
 		return
 	}
-	n.settle()
+	now := n.eng.Now()
 	f.ev = desim.Event{} // any startup-latency event has fired by now
-	f.ord = len(n.ordered)
-	n.flows[f.ID] = f
-	n.ordered = append(n.ordered, f)
+	f.at = now
+	f.ord = len(n.active)
+	n.active = append(n.active, f)
 	for _, l := range f.path {
-		n.onLink[l]++
+		lk := &n.links[l]
+		if len(lk.flows) == 0 {
+			lk.busySince = now
+		}
+		lk.flows = append(lk.flows, f)
 	}
 	n.reflow(f.path)
 }
@@ -296,7 +324,7 @@ func (n *Network) Cancel(f *Flow) {
 	pending := !f.ev.IsZero()
 	n.eng.Cancel(f.ev)
 	f.ev = desim.Event{}
-	if _, ok := n.flows[f.ID]; !ok {
+	if f.ord < 0 {
 		if pending {
 			// Cancelled before activation (startup latency) or delivery
 			// (local transfer): the scheduled event will never fire, so
@@ -305,14 +333,13 @@ func (n *Network) Cancel(f *Flow) {
 		}
 		return
 	}
-	n.settle()
 	n.remove(f)
 	n.reflow(f.path)
 	n.release(f)
 }
 
 // ActiveFlows returns the number of in-flight (non-local) transfers.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
+func (n *Network) ActiveFlows() int { return len(n.active) }
 
 // BytesMoved returns total bytes delivered by completed transfers.
 func (n *Network) BytesMoved() float64 { return n.bytesMoved }
@@ -322,25 +349,33 @@ func (n *Network) BytesMoved() float64 { return n.bytesMoved }
 func (n *Network) CompletedTransfers() int { return n.transfers }
 
 // LinkUtilization returns, for every link, the fraction of [0, now] during
-// which at least one flow crossed it. Call settle-free at end of run.
+// which at least one flow crossed it. Like every projection here it only
+// reads state, so calling it at any time leaves Results unchanged.
 func (n *Network) LinkUtilization() []float64 {
-	n.settle()
-	out := make([]float64, len(n.linkBusy))
+	out := make([]float64, len(n.links))
 	now := n.eng.Now()
 	if now <= 0 {
 		return out
 	}
-	for i, b := range n.linkBusy {
-		out[i] = b / now
+	for i := range n.links {
+		lk := &n.links[i]
+		busy := lk.busy
+		if len(lk.flows) > 0 {
+			busy += now - lk.busySince
+		}
+		out[i] = busy / now
 	}
 	return out
 }
 
-// LinkBytes returns the bytes carried per link so far.
+// LinkBytes returns the bytes carried per link up to now.
 func (n *Network) LinkBytes() []float64 {
-	n.settle()
-	out := make([]float64, len(n.linkBytes))
-	copy(out, n.linkBytes)
+	out := make([]float64, len(n.links))
+	now := n.eng.Now()
+	for i := range n.links {
+		lk := &n.links[i]
+		out[i] = lk.bytes + lk.rateSum*(now-lk.bytesAt)
+	}
 	return out
 }
 
@@ -369,7 +404,7 @@ func (n *Network) EffectiveBandwidths() []float64 {
 // watchdog's link-capacity invariant.
 func (n *Network) LinkLoads(dst []float64) []float64 {
 	out := n.linkScratch(dst)
-	for _, f := range n.ordered {
+	for _, f := range n.active {
 		for _, l := range f.path {
 			out[l] += f.rate
 		}
@@ -380,19 +415,14 @@ func (n *Network) LinkLoads(dst []float64) []float64 {
 // LinkBacklogBytes writes, per link, the bytes still to be delivered by
 // the flows crossing it (each flow's remaining bytes counted on every
 // link of its route), projected to the current virtual time, into dst and
-// returns it (reusing dst's storage as LinkLoads does). It is strictly
-// read-only — deliberately NOT calling settle(), whose incremental float
-// accounting would make results depend on when monitoring sampled it.
+// returns it (reusing dst's storage as LinkLoads does).
 func (n *Network) LinkBacklogBytes(dst []float64) []float64 {
-	dt := n.eng.Now() - n.lastAccounts
+	now := n.eng.Now()
 	out := n.linkScratch(dst)
-	for _, f := range n.ordered {
-		rem := f.remaining
-		if dt > 0 {
-			rem -= f.rate * dt
-			if rem < 0 {
-				rem = 0
-			}
+	for _, f := range n.active {
+		rem := f.remaining - f.rate*(now-f.at)
+		if rem < 0 {
+			rem = 0
 		}
 		for _, l := range f.path {
 			out[l] += rem
@@ -420,7 +450,7 @@ func (n *Network) CongestionOn(src, dst topology.SiteID) int {
 	maxFlows := 0
 	n.routeBuf = n.topo.Route(n.routeBuf[:0], src, dst)
 	for _, l := range n.routeBuf {
-		if c := n.onLink[l]; c > maxFlows {
+		if c := len(n.links[l].flows); c > maxFlows {
 			maxFlows = c
 		}
 	}
@@ -438,7 +468,7 @@ func (n *Network) PredictTime(src, dst topology.SiteID, size float64) float64 {
 	}
 	rate := math.Inf(1)
 	for _, l := range path {
-		share := n.linkBandwidth(l) / float64(n.onLink[l]+1)
+		share := n.linkBandwidth(l) / float64(len(n.links[l].flows)+1)
 		if share < rate {
 			rate = share
 		}
@@ -449,127 +479,100 @@ func (n *Network) PredictTime(src, dst topology.SiteID, size float64) float64 {
 	return size/rate + n.latencyPerHop*float64(len(path))
 }
 
-// settle advances every active flow's remaining bytes to "now" at the rates
-// fixed at the previous change point, and accrues link busy-time integrals.
-func (n *Network) settle() {
-	now := n.eng.Now()
-	dt := now - n.lastAccounts
-	if dt < 0 {
-		panic("netsim: time went backwards")
-	}
-	if dt > 0 {
-		for _, f := range n.ordered {
-			f.remaining -= f.rate * dt
-			if f.remaining < 1e-9 {
-				f.remaining = 0
-			}
-			for _, l := range f.path {
-				n.linkBytes[l] += f.rate * dt
-			}
-		}
-		for l, c := range n.onLink {
-			if c > 0 {
-				n.linkBusy[l] += dt
-			}
-		}
-	}
-	n.lastAccounts = now
-}
-
-// reflow recomputes flow rates after a change to the links in changed — a
+// reflow re-shares bandwidth after a change to the links in changed — a
 // started, finished, or cancelled flow's path, or a link whose bandwidth
-// was overridden — and re-anchors every flow's completion event. Must be
-// called with settled accounts.
-//
-// Byte-identity contract (the golden-hash test enforces it): the
-// pre-optimization reflow recomputed every rate and cancel+rescheduled
-// every completion event at every change point. The equal-share rate of a
-// flow crossing none of the changed links is provably bit-identical (no
-// bandwidth or flow count on its path moved), so skipping its
-// recomputation is exact. Completion *times* must still be re-derived for
-// every flow: remaining/rate recomputed at the new change point differs
-// from the previously scheduled time by float rounding, and the old
-// kernel's results embed exactly that jitter. Each running flow is
-// therefore Rescheduled in admission order, burning engine sequence
-// numbers precisely like the cancel+schedule pair it replaces — see
-// desim.Engine.Reschedule.
+// was overridden — and retimes every flow whose rate moved.
 func (n *Network) reflow(changed []topology.LinkID) {
 	switch n.policy {
 	case EqualShare:
+		// An equal-share rate depends only on the bandwidths and
+		// occupancies along the flow's path, so only flows crossing a
+		// changed link can move. The epoch mark visits each of them once:
+		// changed links in order, each link's flows in admission order.
 		n.epoch++
 		for _, l := range changed {
-			n.linkEpoch[l] = n.epoch
-		}
-		for _, f := range n.ordered {
-			touched := false
-			for _, l := range f.path {
-				if n.linkEpoch[l] == n.epoch {
-					touched = true
-					break
+			for _, f := range n.links[l].flows {
+				if f.mark == n.epoch {
+					continue
 				}
+				f.mark = n.epoch
+				n.setRate(f, n.equalShare(f))
 			}
-			if !touched {
-				continue
-			}
-			rate := math.Inf(1)
-			for _, l := range f.path {
-				share := n.linkBandwidth(l) / float64(n.onLink[l])
-				if share < rate {
-					rate = share
-				}
-			}
-			f.rate = rate
 		}
 	case MaxMinFair:
 		n.maxMin()
 	default:
 		panic("netsim: unknown sharing policy")
 	}
-	for _, f := range n.ordered {
-		if f.rate <= 0 {
-			// Stalled (a link on the path is down); no completion event.
-			if !f.ev.IsZero() {
-				n.eng.Cancel(f.ev)
-				f.ev = desim.Event{}
-			}
-			continue
+}
+
+// equalShare is the paper's rate for f: the minimum over its path of the
+// link bandwidth divided by the flows crossing the link.
+func (n *Network) equalShare(f *Flow) float64 {
+	rate := math.Inf(1)
+	for _, l := range f.path {
+		if share := n.linkBandwidth(l) / float64(len(n.links[l].flows)); share < rate {
+			rate = share
 		}
-		delay := f.remaining / f.rate
-		if f.ev.IsZero() {
-			f.ev = n.eng.Schedule(delay, f.completeFn)
-		} else {
-			n.eng.Reschedule(f.ev, delay)
-		}
+	}
+	return rate
+}
+
+// setRate moves f to rate at the current time. It brings f's remaining
+// bytes and its links' byte totals forward under the old rate, re-anchors
+// them at now, and then schedules, moves or cancels f's completion event.
+// An unchanged rate changes nothing: the flow keeps its anchor and its
+// event exactly as they were.
+func (n *Network) setRate(f *Flow, rate float64) {
+	if rate == f.rate {
+		return
+	}
+	now := n.eng.Now()
+	f.remaining -= f.rate * (now - f.at)
+	if f.remaining < 1e-9 {
+		f.remaining = 0
+	}
+	f.at = now
+	for _, l := range f.path {
+		n.links[l].addRate(now, rate-f.rate)
+	}
+	f.rate = rate
+	if rate <= 0 {
+		// Stalled (a link on the path is down); no completion event.
+		n.eng.Cancel(f.ev)
+		f.ev = desim.Event{}
+		return
+	}
+	delay := f.remaining / rate
+	if f.ev.IsZero() {
+		f.ev = n.eng.Schedule(delay, f.completeFn)
+	} else {
+		n.eng.Reschedule(f.ev, delay)
 	}
 }
 
-// maxMin runs progressive filling: repeatedly saturate the link with the
-// smallest fair share among unfrozen flows, freeze its flows at that rate,
-// and redistribute.
+// maxMin runs progressive filling from scratch: repeatedly saturate the
+// link with the smallest fair share among unfrozen flows, freeze the flows
+// crossing it at that share, and redistribute. Every flow whose rate moved
+// is then retimed. Within a round every frozen flow books the same share,
+// so the order flows are frozen in cannot change any rate.
 func (n *Network) maxMin() {
-	numLinks := n.topo.NumLinks()
+	numLinks := len(n.links)
 	if cap(n.lsBuf) < numLinks {
 		n.lsBuf = make([]linkState, numLinks)
 	}
 	ls := n.lsBuf[:numLinks]
 	for i := range ls {
-		ls[i] = linkState{cap: n.linkBandwidth(topology.LinkID(i))}
+		ls[i] = linkState{cap: n.linkBandwidth(topology.LinkID(i)), count: len(n.links[i].flows)}
 	}
-	if cap(n.frozenBuf) < len(n.ordered) {
-		n.frozenBuf = make([]bool, len(n.ordered))
+	if cap(n.rateBuf) < len(n.active) {
+		n.rateBuf = make([]float64, len(n.active))
 	}
-	frozen := n.frozenBuf[:len(n.ordered)]
-	for i := range frozen {
-		frozen[i] = false
+	rates := n.rateBuf[:len(n.active)]
+	for i := range rates {
+		rates[i] = -1
 	}
-	for _, f := range n.ordered {
-		f.rate = 0
-		for _, l := range f.path {
-			ls[l].count++
-		}
-	}
-	remaining := len(n.ordered)
-	for remaining > 0 {
+	for unfrozen := len(n.active); unfrozen > 0; {
 		// Find bottleneck link: min cap/count over links with count > 0.
 		bottleneck := -1
 		best := math.Inf(1)
@@ -584,35 +587,24 @@ func (n *Network) maxMin() {
 		if bottleneck < 0 {
 			break
 		}
-		// Freeze all unfrozen flows crossing the bottleneck at `best`,
-		// in admission order for determinism.
-		for i, f := range n.ordered {
-			if frozen[i] {
+		for _, f := range n.links[bottleneck].flows {
+			if rates[f.ord] >= 0 {
 				continue
 			}
-			crosses := false
-			for _, l := range f.path {
-				if int(l) == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				continue
-			}
-			f.rate = best
-			frozen[i] = true
-			remaining--
+			rates[f.ord] = best
+			unfrozen--
 			for _, l := range f.path {
 				ls[l].consume(best)
 			}
 		}
 	}
+	for i, f := range n.active {
+		n.setRate(f, max(rates[i], 0))
+	}
 }
 
 // complete fires when a flow's completion event triggers.
 func (n *Network) complete(f *Flow) {
-	n.settle()
 	f.remaining = 0
 	f.ev = desim.Event{}
 	n.remove(f)
@@ -629,26 +621,28 @@ func (n *Network) finishLocal(f *Flow) {
 	n.release(f)
 }
 
+// remove takes an active flow out of the active set (the last flow fills
+// its slot) and out of its links' indexes, bringing each link's byte total
+// forward and closing its busy interval when the link empties.
 func (n *Network) remove(f *Flow) {
-	if _, ok := n.flows[f.ID]; !ok {
-		return
-	}
-	delete(n.flows, f.ID)
 	i := f.ord
-	if i >= len(n.ordered) || n.ordered[i] != f {
+	if i < 0 || i >= len(n.active) || n.active[i] != f {
 		panic("netsim: flow ordinal out of sync")
 	}
-	last := len(n.ordered) - 1
-	copy(n.ordered[i:], n.ordered[i+1:])
-	n.ordered[last] = nil
-	n.ordered = n.ordered[:last]
-	for ; i < last; i++ {
-		n.ordered[i].ord = i
-	}
+	last := len(n.active) - 1
+	n.active[i] = n.active[last]
+	n.active[i].ord = i
+	n.active[last] = nil
+	n.active = n.active[:last]
+	f.ord = -1
+	now := n.eng.Now()
 	for _, l := range f.path {
-		n.onLink[l]--
-		if n.onLink[l] < 0 {
-			panic("netsim: negative link occupancy")
+		lk := &n.links[l]
+		lk.addRate(now, -f.rate)
+		lk.drop(f)
+		if len(lk.flows) == 0 {
+			lk.rateSum = 0 // drop float drift along with the last flow
+			lk.busy += now - lk.busySince
 		}
 	}
 }

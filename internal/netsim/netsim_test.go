@@ -169,12 +169,12 @@ func TestMaxMinRedistributes(t *testing.T) {
 	// Inspect rates right after start: settle via a zero-delay event.
 	var rates []float64
 	eng.Schedule(0, func() {
-		for _, f := range n.flows {
+		for _, f := range n.active {
 			rates = append(rates, f.rate)
 		}
 		// Link capacity invariant: per-link sum of rates <= bandwidth.
 		sum := make(map[topology.LinkID]float64)
-		for _, f := range n.flows {
+		for _, f := range n.active {
 			for _, l := range f.path {
 				sum[l] += f.rate
 			}
@@ -216,7 +216,7 @@ func TestEqualShareNeverOversubscribes(t *testing.T) {
 		ok := true
 		check := func() {
 			sum := make(map[topology.LinkID]float64)
-			for _, fl := range n.flows {
+			for _, fl := range n.active {
 				for _, l := range fl.path {
 					sum[l] += fl.rate
 				}
