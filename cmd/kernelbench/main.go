@@ -87,6 +87,14 @@ func suite() []struct {
 	out = append(out, struct {
 		name string
 		body func(*testing.B)
+	}{"PlaceDataPresent/sites=1000/holders=137", kernelbench.PlaceDataPresent})
+	out = append(out, struct {
+		name string
+		body func(*testing.B)
+	}{"DecideLeastLoaded/sites=1000", kernelbench.DecideLeastLoaded})
+	out = append(out, struct {
+		name string
+		body func(*testing.B)
 	}{"Sim", kernelbench.Sim})
 	for _, tier := range []struct {
 		name string

@@ -79,13 +79,13 @@ func NewDataset(name string, src *rng.Source) (scheduler.Dataset, error) {
 	case "DataDoNothing":
 		return ds.DoNothing{}, nil
 	case "DataRandom":
-		return ds.Random{Src: src}, nil
+		return &ds.Random{Src: src}, nil
 	case "DataLeastLoaded":
-		return ds.LeastLoaded{Src: src}, nil
+		return &ds.LeastLoaded{Src: src}, nil
 	case "DataCascade":
-		return ds.Cascade{Src: src}, nil
+		return &ds.Cascade{Src: src}, nil
 	case "DataBestClient":
-		return ds.BestClient{Src: src}, nil
+		return &ds.BestClient{Src: src}, nil
 	case "DataFeedback":
 		// Tracker and params attached by the simulation (see NewExternal's
 		// JobFeedback case); standalone it matches DataLeastLoaded.

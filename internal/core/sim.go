@@ -256,9 +256,9 @@ type view struct {
 	viewer topology.SiteID
 }
 
-func (v view) NumSites() int                { return v.s.topo.NumSites() }
-func (v view) Load(sid topology.SiteID) int { return v.s.gis.Load(sid) }
-func (v view) CEs(sid topology.SiteID) int  { return v.s.sites[sid].CEs() }
+func (v view) NumSites() int               { return v.s.topo.NumSites() }
+func (v view) Loads() []int                { return v.s.gis.Loads() }
+func (v view) CEs(sid topology.SiteID) int { return v.s.sites[sid].CEs() }
 func (v view) Replicas(f storage.FileID) []topology.SiteID {
 	if v.viewer >= 0 {
 		return v.s.gis.ReplicasVisibleTo(f, v.viewer)
@@ -267,12 +267,7 @@ func (v view) Replicas(f storage.FileID) []topology.SiteID {
 }
 func (v view) HasReplica(f storage.FileID, sid topology.SiteID) bool {
 	if v.viewer >= 0 {
-		for _, r := range v.s.gis.ReplicasVisibleTo(f, v.viewer) {
-			if r == sid {
-				return true
-			}
-		}
-		return false
+		return v.s.gis.HasReplicaVisibleTo(f, sid, v.viewer)
 	}
 	return v.s.gis.HasReplica(f, sid)
 }

@@ -31,7 +31,9 @@ type Service struct {
 	loadOf   LoadFunc
 	stale    float64 // snapshot refresh period; 0 = oracle
 	snapTime desim.Time
-	snapLoad []int
+	// loads is the load vector Loads hands out: the snapshot's loads
+	// when stale, and for the oracle a buffer refilled on every call.
+	loads []int
 	// snapRep holds the snapshotted replica lists, indexed by file id
 	// (nil for undefined files). The per-file buffers are reused across
 	// refreshes — each refresh overwrites their contents wholesale, which
@@ -86,6 +88,20 @@ func (s *Service) ReplicasVisibleTo(f storage.FileID, viewer topology.SiteID) []
 	return out
 }
 
+// HasReplicaVisibleTo reports whether site holds f in the view a
+// scheduler at viewer has under regional scoping — membership in
+// ReplicasVisibleTo(f, viewer), answered without building that list.
+func (s *Service) HasReplicaVisibleTo(f storage.FileID, site, viewer topology.SiteID) bool {
+	if !s.HasReplica(f, site) {
+		return false
+	}
+	if s.topo.SameRegion(site, viewer) {
+		return true
+	}
+	master, ok := s.masterOf[f]
+	return ok && site == master
+}
+
 // NumSites returns the number of sites.
 func (s *Service) NumSites() int { return s.topo.NumSites() }
 
@@ -108,14 +124,7 @@ func (s *Service) refresh() {
 		return
 	}
 	s.snapTime = now
-	n := s.topo.NumSites()
-	if cap(s.snapLoad) < n {
-		s.snapLoad = make([]int, n)
-	}
-	s.snapLoad = s.snapLoad[:n]
-	for i := range s.snapLoad {
-		s.snapLoad[i] = s.loadOf(topology.SiteID(i))
-	}
+	s.fillLoads()
 	bound := s.cat.FileIDBound()
 	for len(s.snapRep) < bound {
 		s.snapRep = append(s.snapRep, nil)
@@ -141,13 +150,31 @@ func (s *Service) SnapshotAge() float64 {
 	return s.eng.Now() - s.snapTime
 }
 
-// Load returns the (possibly snapshotted) load of a site.
-func (s *Service) Load(site topology.SiteID) int {
+// fillLoads reads every site's current load into s.loads.
+func (s *Service) fillLoads() {
+	n := s.topo.NumSites()
+	if cap(s.loads) < n {
+		s.loads = make([]int, n)
+	}
+	s.loads = s.loads[:n]
+	for i := range s.loads {
+		s.loads[i] = s.loadOf(topology.SiteID(i))
+	}
+}
+
+// Loads returns the (possibly snapshotted) load of every site, indexed by
+// site id. Stale mode hands out the snapshot after the usual refresh
+// check. The oracle refills one service-owned buffer from the live loads
+// on every call — O(sites), exact because loads cannot change inside one
+// scheduling decision. The slice is valid within the current event and
+// must not be modified.
+func (s *Service) Loads() []int {
 	if s.stale <= 0 {
-		return s.loadOf(site)
+		s.fillLoads()
+		return s.loads
 	}
 	s.refresh()
-	return s.snapLoad[site]
+	return s.loads
 }
 
 // Replicas returns the (possibly snapshotted) replica locations of f,

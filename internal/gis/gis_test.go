@@ -27,11 +27,11 @@ func TestOracleMode(t *testing.T) {
 	cat.DefineFile(1, 5e8)
 	cat.Register(1, 2)
 	loads[3] = 7
-	if svc.Load(3) != 7 {
+	if svc.Loads()[3] != 7 {
 		t.Fatal("oracle load wrong")
 	}
 	loads[3] = 9
-	if svc.Load(3) != 9 {
+	if svc.Loads()[3] != 9 {
 		t.Fatal("oracle load not live")
 	}
 	if reps := svc.Replicas(1); len(reps) != 1 || reps[0] != 2 {
@@ -56,12 +56,12 @@ func TestStaleSnapshots(t *testing.T) {
 	var checks []func()
 	at := func(ti desim.Time, fn func()) { checks = append(checks, func() { eng.At(ti, fn) }) }
 	at(0, func() {
-		if svc.Load(1) != 3 {
+		if svc.Loads()[1] != 3 {
 			t.Error("initial snapshot missed load")
 		}
 		loads[1] = 10
 		cat.Register(1, 2)
-		if svc.Load(1) != 3 {
+		if svc.Loads()[1] != 3 {
 			t.Error("snapshot should still say 3")
 		}
 		if svc.HasReplica(1, 2) {
@@ -69,12 +69,12 @@ func TestStaleSnapshots(t *testing.T) {
 		}
 	})
 	at(59, func() {
-		if svc.Load(1) != 3 {
+		if svc.Loads()[1] != 3 {
 			t.Error("59s: snapshot should be unchanged")
 		}
 	})
 	at(61, func() {
-		if svc.Load(1) != 10 {
+		if svc.Loads()[1] != 10 {
 			t.Error("61s: snapshot should have refreshed")
 		}
 		if !svc.HasReplica(1, 2) {

@@ -30,27 +30,27 @@ func (DoNothing) Decide(scheduler.GridView, topology.SiteID, []scheduler.Popular
 
 // Random replicates each popular dataset "to a random site on the grid"
 // that does not already hold it ("DataRandom").
-type Random struct{ Src *rng.Source }
+type Random struct {
+	Src *rng.Source
+
+	t   Targets
+	out []scheduler.Replication
+}
 
 // Name implements scheduler.Dataset.
-func (Random) Name() string { return "DataRandom" }
+func (*Random) Name() string { return "DataRandom" }
 
 // Decide implements scheduler.Dataset.
-func (r Random) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
-	var out []scheduler.Replication
+func (r *Random) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
+	out := r.out[:0]
 	for _, p := range popular {
-		var cands []topology.SiteID
-		for s := 0; s < g.NumSites(); s++ {
-			sid := topology.SiteID(s)
-			if sid != self && !g.HasReplica(p.File, sid) {
-				cands = append(cands, sid)
-			}
-		}
+		cands := r.t.Grid(g, p.File, self)
 		if len(cands) == 0 {
 			continue
 		}
 		out = append(out, scheduler.Replication{File: p.File, Target: rng.Pick(r.Src, cands)})
 	}
+	r.out = out
 	return out
 }
 
@@ -60,66 +60,56 @@ func (r Random) Decide(g scheduler.GridView, self topology.SiteID, popular []sch
 // regional parent in the hierarchy; if every neighbor already holds the
 // file the policy widens to the whole grid so popularity pressure is never
 // silently dropped.
-type LeastLoaded struct{ Src *rng.Source }
+type LeastLoaded struct {
+	Src *rng.Source
+
+	t   Targets
+	out []scheduler.Replication
+}
 
 // Name implements scheduler.Dataset.
-func (LeastLoaded) Name() string { return "DataLeastLoaded" }
+func (*LeastLoaded) Name() string { return "DataLeastLoaded" }
 
 // Decide implements scheduler.Dataset.
-func (l LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
-	var out []scheduler.Replication
+func (l *LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
+	out := l.out[:0]
 	for _, p := range popular {
-		cands := CandidateTargets(g, p.File, self)
+		cands := l.t.Candidates(g, p.File, self)
 		if len(cands) == 0 {
 			continue
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: PickLeastLoaded(g, cands, l.Src)})
+		out = append(out, scheduler.Replication{File: p.File, Target: l.t.LeastLoaded(g.Loads(), cands, l.Src)})
 	}
+	l.out = out
 	return out
-}
-
-// CandidateTargets returns, in deterministic order, the replication
-// targets DataLeastLoaded considers for file f at site self: the siblings
-// not yet holding f, widening to the whole grid when every sibling already
-// has it. Empty means the file is fully replicated. Exported so
-// telemetry-driven extensions can rank exactly the baseline's candidate
-// set with richer scores.
-func CandidateTargets(g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
-	cands := WithoutReplica(g, f, g.Topology().Region(self), self)
-	if len(cands) == 0 {
-		// Widen to the whole grid, filtering site ids directly — same
-		// order as materializing 0..NumSites-1 first, without the
-		// intermediate slice.
-		for s := 0; s < g.NumSites(); s++ {
-			sid := topology.SiteID(s)
-			if sid != self && !g.HasReplica(f, sid) {
-				cands = append(cands, sid)
-			}
-		}
-	}
-	return cands
 }
 
 // Cascade replicates popular data down the hierarchy toward clients: it
 // targets the least loaded *sibling* first and, once all siblings hold the
 // file, stops (extension modeled on [23]'s cascading strategy, where
 // replicas flow tier-by-tier rather than jumping across the grid).
-type Cascade struct{ Src *rng.Source }
+type Cascade struct {
+	Src *rng.Source
+
+	t   Targets
+	out []scheduler.Replication
+}
 
 // Name implements scheduler.Dataset.
-func (Cascade) Name() string { return "DataCascade" }
+func (*Cascade) Name() string { return "DataCascade" }
 
 // Decide implements scheduler.Dataset.
-func (c Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
+func (c *Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	neighbors := g.Topology().Region(self)
-	var out []scheduler.Replication
+	out := c.out[:0]
 	for _, p := range popular {
-		cands := WithoutReplica(g, p.File, neighbors, self)
+		cands := c.t.Without(g, p.File, neighbors, self)
 		if len(cands) == 0 {
 			continue // tier saturated: cascading stops here
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: PickLeastLoaded(g, cands, c.Src)})
+		out = append(out, scheduler.Replication{File: p.File, Target: c.t.LeastLoaded(g.Loads(), cands, c.Src)})
 	}
+	c.out = out
 	return out
 }
 
@@ -127,23 +117,27 @@ func (c Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []sc
 // the most requests for it (extension modeled on [23]'s Best Client
 // strategy). Falls back to doing nothing when the best client already
 // holds the file.
-type BestClient struct{ Src *rng.Source }
+type BestClient struct {
+	Src *rng.Source
+
+	t   Targets
+	out []scheduler.Replication
+}
 
 // Name implements scheduler.Dataset.
-func (BestClient) Name() string { return "DataBestClient" }
+func (*BestClient) Name() string { return "DataBestClient" }
 
 // Decide implements scheduler.Dataset.
-func (b BestClient) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
-	var out []scheduler.Replication
+func (b *BestClient) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
+	out := b.out[:0]
 	for _, p := range popular {
+		b.t.begin()
 		best := topology.SiteID(-1)
 		bestCount := 0
-		for s := 0; s < g.NumSites(); s++ { // site order for determinism
-			sid := topology.SiteID(s)
-			n := p.ByRequester[sid]
-			if sid != self && n > bestCount && !g.HasReplica(p.File, sid) {
-				best = sid
-				bestCount = n
+		for _, rc := range p.ByRequester { // site order for determinism
+			if rc.Site != self && rc.Count > bestCount && !b.t.holds(g, p.File, rc.Site) {
+				best = rc.Site
+				bestCount = rc.Count
 			}
 		}
 		if best < 0 {
@@ -151,35 +145,103 @@ func (b BestClient) Decide(g scheduler.GridView, self topology.SiteID, popular [
 		}
 		out = append(out, scheduler.Replication{File: p.File, Target: best})
 	}
+	b.out = out
 	return out
 }
 
-// WithoutReplica filters sites down to those not holding f, excluding self.
-func WithoutReplica(g scheduler.GridView, f storage.FileID, sites []topology.SiteID, self topology.SiteID) []topology.SiteID {
-	var out []topology.SiteID
+// Targets is the scratch a Dataset Scheduler owns for choosing where to
+// replicate one file: the file's holder mark, the candidate list and the
+// least-loaded tie set. Each file decision reads the view's replica list
+// at most once, and only when the decision would have asked whether some
+// site other than self holds the file — a view query can refresh a stale
+// GIS snapshot, so a decision must not query where it never did. The
+// slices it returns are valid until its next call. The zero value is
+// ready to use.
+type Targets struct {
+	has    scheduler.Holders
+	marked bool // has holds the current decision's file
+	cands  []topology.SiteID
+	ties   []topology.SiteID
+}
+
+// begin starts a new file decision.
+func (t *Targets) begin() { t.marked = false }
+
+// holds reports whether site s holds f, marking f's holders on first use
+// within the decision.
+func (t *Targets) holds(g scheduler.GridView, f storage.FileID, s topology.SiteID) bool {
+	if !t.marked {
+		t.has.Mark(g, f)
+		t.marked = true
+	}
+	return t.has.Has(s)
+}
+
+// without appends to out the sites not holding f, excluding self.
+func (t *Targets) without(g scheduler.GridView, f storage.FileID, sites []topology.SiteID, self topology.SiteID, out []topology.SiteID) []topology.SiteID {
 	for _, s := range sites {
-		if s != self && !g.HasReplica(f, s) {
+		if s != self && !t.holds(g, f, s) {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// PickLeastLoaded returns the least-loaded candidate, breaking ties
-// uniformly at random.
-func PickLeastLoaded(g scheduler.GridView, cands []topology.SiteID, tie *rng.Source) topology.SiteID {
-	best := cands[:1]
-	bestLoad := g.Load(cands[0])
+// grid appends to out every site not holding f, excluding self, in id
+// order.
+func (t *Targets) grid(g scheduler.GridView, f storage.FileID, self topology.SiteID, out []topology.SiteID) []topology.SiteID {
+	for s := 0; s < g.NumSites(); s++ {
+		if sid := topology.SiteID(s); sid != self && !t.holds(g, f, sid) {
+			out = append(out, sid)
+		}
+	}
+	return out
+}
+
+// Candidates returns, in deterministic order, the replication targets
+// DataLeastLoaded considers for file f at site self: the siblings not yet
+// holding f, widening to the whole grid when every sibling already has
+// it. Empty means the file is fully replicated. Exported so
+// telemetry-driven extensions can rank exactly the baseline's candidate
+// set with richer scores.
+func (t *Targets) Candidates(g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
+	t.begin()
+	t.cands = t.without(g, f, g.Topology().Region(self), self, t.cands[:0])
+	if len(t.cands) == 0 {
+		t.cands = t.grid(g, f, self, t.cands)
+	}
+	return t.cands
+}
+
+// Without filters sites down to those not holding f, excluding self.
+func (t *Targets) Without(g scheduler.GridView, f storage.FileID, sites []topology.SiteID, self topology.SiteID) []topology.SiteID {
+	t.begin()
+	t.cands = t.without(g, f, sites, self, t.cands[:0])
+	return t.cands
+}
+
+// Grid returns every site not holding f, excluding self, in id order.
+func (t *Targets) Grid(g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
+	t.begin()
+	t.cands = t.grid(g, f, self, t.cands[:0])
+	return t.cands
+}
+
+// LeastLoaded returns the candidate with the lowest loads entry, breaking
+// ties uniformly at random with one draw from tie.
+func (t *Targets) LeastLoaded(loads []int, cands []topology.SiteID, tie *rng.Source) topology.SiteID {
+	best := append(t.ties[:0], cands[0])
+	bestLoad := loads[cands[0]]
 	for _, c := range cands[1:] {
-		l := g.Load(c)
-		switch {
+		switch l := loads[c]; {
 		case l < bestLoad:
 			bestLoad = l
-			best = []topology.SiteID{c}
+			best = append(best[:0], c)
 		case l == bestLoad:
 			best = append(best, c)
 		}
 	}
+	t.ties = best
 	if len(best) == 1 || tie == nil {
 		return best[0]
 	}

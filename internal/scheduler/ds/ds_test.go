@@ -24,10 +24,10 @@ func TestNames(t *testing.T) {
 		want string
 	}{
 		{DoNothing{}, "DataDoNothing"},
-		{Random{Src: rng.New(1)}, "DataRandom"},
-		{LeastLoaded{Src: rng.New(1)}, "DataLeastLoaded"},
-		{Cascade{Src: rng.New(1)}, "DataCascade"},
-		{BestClient{Src: rng.New(1)}, "DataBestClient"},
+		{&Random{Src: rng.New(1)}, "DataRandom"},
+		{&LeastLoaded{Src: rng.New(1)}, "DataLeastLoaded"},
+		{&Cascade{Src: rng.New(1)}, "DataCascade"},
+		{&BestClient{Src: rng.New(1)}, "DataBestClient"},
 	} {
 		if c.d.Name() != c.want {
 			t.Errorf("Name = %q, want %q", c.d.Name(), c.want)
@@ -74,8 +74,8 @@ func TestLeastLoadedPrefersIdleNeighbor(t *testing.T) {
 	if len(sibs) != 2 {
 		t.Fatalf("expected 2 siblings, got %d", len(sibs))
 	}
-	v.Loads[sibs[0]] = 7
-	v.Loads[sibs[1]] = 1
+	v.SiteLoads[sibs[0]] = 7
+	v.SiteLoads[sibs[1]] = 1
 	l := LeastLoaded{Src: rng.New(1)}
 	reps := l.Decide(v, self, pops(1))
 	if len(reps) != 1 || reps[0].Target != sibs[1] {
@@ -134,10 +134,10 @@ func TestBestClientFollowsRequesters(t *testing.T) {
 	p := []scheduler.PopularFile{{
 		File:  1,
 		Count: 10,
-		ByRequester: map[topology.SiteID]int{
-			2: 7,
-			3: 2,
-			0: 1, // self: must be ignored
+		ByRequester: []scheduler.RequesterCount{
+			{Site: 0, Count: 1}, // self: must be ignored
+			{Site: 2, Count: 7},
+			{Site: 3, Count: 2},
 		},
 	}}
 	reps := b.Decide(v, 0, p)

@@ -14,38 +14,32 @@ import (
 type ect struct {
 	g          scheduler.GridView
 	avgCompute float64
+	loads      []int     // the view's load vector, read once per batch
 	extra      []float64 // work (seconds) assigned to each site this batch
+	transfer   []float64 // per site: the prepared job's transfer estimate
+	has        scheduler.Holders
 }
 
 func newECT(g scheduler.GridView, avgCompute float64) *ect {
-	return &ect{g: g, avgCompute: avgCompute, extra: make([]float64, g.NumSites())}
+	n := g.NumSites()
+	return &ect{g: g, avgCompute: avgCompute, loads: g.Loads(),
+		extra: make([]float64, n), transfer: make([]float64, n)}
 }
 
+// prepare computes job j's transfer estimate at every site; estimate then
+// reads it for j.
+func (e *ect) prepare(j *job.Job) { inputTransfer(e.g, j, &e.has, e.transfer) }
+
+// estimate returns the prepared job j's completion time at site s.
 func (e *ect) estimate(j *job.Job, s topology.SiteID) float64 {
 	ces := e.g.CEs(s)
 	if ces <= 0 {
 		ces = 1
 	}
-	queue := (float64(e.g.Load(s))*e.avgCompute + e.extra[s]) / float64(ces)
-	transfer := 0.0
-	for _, f := range j.Inputs {
-		if e.g.HasReplica(f, s) {
-			continue
-		}
-		best := -1.0
-		for _, r := range e.g.Replicas(f) {
-			t := e.g.PredictTransfer(r, s, e.g.FileSize(f))
-			if best < 0 || t < best {
-				best = t
-			}
-		}
-		if best > transfer {
-			transfer = best
-		}
-	}
+	queue := (float64(e.loads[s])*e.avgCompute + e.extra[s]) / float64(ces)
 	wait := queue
-	if transfer > wait {
-		wait = transfer
+	if e.transfer[s] > wait {
+		wait = e.transfer[s]
 	}
 	return wait + j.ComputeTime
 }
@@ -54,8 +48,8 @@ func (e *ect) commit(j *job.Job, s topology.SiteID) {
 	e.extra[s] += j.ComputeTime
 }
 
-// bestSite returns the site minimizing the job's ECT (lowest id on ties,
-// for determinism).
+// bestSite returns the site minimizing the prepared job's ECT (lowest id
+// on ties, for determinism).
 func (e *ect) bestSite(j *job.Job) (topology.SiteID, float64) {
 	best := topology.SiteID(0)
 	bestECT := e.estimate(j, 0)
@@ -78,8 +72,11 @@ func (e *ect) bestSite(j *job.Job) (topology.SiteID, float64) {
 func batchAssign(g scheduler.GridView, jobs []*job.Job, avgCompute float64,
 	pick func(best, sufferage []float64) int) []topology.SiteID {
 
-	e := newECT(g, avgCompute)
 	out := make([]topology.SiteID, len(jobs))
+	if len(jobs) == 0 {
+		return out // no decision, so no view query
+	}
+	e := newECT(g, avgCompute)
 	remaining := make([]int, len(jobs)) // indices into jobs
 	for i := range remaining {
 		remaining[i] = i
@@ -90,6 +87,7 @@ func batchAssign(g scheduler.GridView, jobs []*job.Job, avgCompute float64,
 		sites := make([]topology.SiteID, len(remaining))
 		for k, idx := range remaining {
 			j := jobs[idx]
+			e.prepare(j)
 			s, v := e.bestSite(j)
 			sites[k], best[k] = s, v
 			// Second-best ECT for the sufferage criterion.

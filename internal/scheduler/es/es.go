@@ -8,7 +8,6 @@ import (
 	"chicsim/internal/job"
 	"chicsim/internal/rng"
 	"chicsim/internal/scheduler"
-	"chicsim/internal/storage"
 	"chicsim/internal/topology"
 )
 
@@ -37,22 +36,22 @@ func fillAllSites(g scheduler.GridView, buf []topology.SiteID) []topology.SiteID
 	return buf
 }
 
-// leastLoaded picks the least-loaded candidate, breaking ties with one
-// rng.Pick draw. It reproduces the historical append-into-subslice tie
-// construction without allocating: while the running best set still
-// aliases candidates, ties are written into candidates[1:] — observable
-// (and recorded in golden runs) when candidates aliases a GIS snapshot —
-// and once a strictly lower load appears the set moves to *scratch (the
-// historical fresh allocation), after which candidates is never written
-// again.
-func leastLoaded(g scheduler.GridView, candidates []topology.SiteID, tie *rng.Source, scratch *[]topology.SiteID) topology.SiteID {
+// leastLoaded picks the candidate with the lowest loads entry, breaking
+// ties with one rng.Pick draw. It reproduces the historical
+// append-into-subslice tie construction without allocating: while the
+// running best set still aliases candidates, ties are written into
+// candidates[1:] — observable (and recorded in golden runs) when
+// candidates aliases a GIS snapshot — and once a strictly lower load
+// appears the set moves to *scratch (the historical fresh allocation),
+// after which candidates is never written again.
+func leastLoaded(loads []int, candidates []topology.SiteID, tie *rng.Source, scratch *[]topology.SiteID) topology.SiteID {
 	n := 1
 	aliased := true
-	bestLoad := g.Load(candidates[0])
+	bestLoad := loads[candidates[0]]
 	det := (*scratch)[:0]
 	for i := 1; i < len(candidates); i++ {
 		c := candidates[i]
-		l := g.Load(c)
+		l := loads[c]
 		switch {
 		case l < bestLoad:
 			bestLoad = l
@@ -103,7 +102,7 @@ func (*LeastLoaded) Name() string { return "JobLeastLoaded" }
 // Place implements scheduler.External.
 func (l *LeastLoaded) Place(g scheduler.GridView, _ *job.Job) topology.SiteID {
 	l.sites = fillAllSites(g, l.sites)
-	return leastLoaded(g, l.sites, l.Src, &l.ties)
+	return leastLoaded(g.Loads(), l.sites, l.Src, &l.ties)
 }
 
 // Local always runs jobs at the submitting user's site ("JobLocal").
@@ -132,7 +131,8 @@ func (*DataPresent) Name() string { return "JobDataPresent" }
 
 // Place implements scheduler.External.
 func (d *DataPresent) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
-	return leastLoaded(g, d.candidates(g, j), d.Src, &d.ties)
+	cands := d.candidates(g, j)
+	return leastLoaded(g.Loads(), cands, d.Src, &d.ties)
 }
 
 // candidates mirrors DataPresentCandidates but serves the hot single-input
@@ -203,6 +203,7 @@ type Regional struct {
 	Src *rng.Source
 
 	holders, ties []topology.SiteID // reused per-placement scratch
+	has           scheduler.Holders
 }
 
 // Name implements scheduler.External.
@@ -210,31 +211,32 @@ func (*Regional) Name() string { return "JobRegional" }
 
 // Place implements scheduler.External.
 func (r *Regional) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
-	// The origin is considered first, then the rest of its region.
-	holders := r.holders[:0]
-	if hasAllInputs(g, j, j.Origin) {
-		holders = append(holders, j.Origin)
-	}
+	// The origin is considered first, then the rest of its region; each
+	// input in turn drops the members that do not hold it.
+	holders := append(r.holders[:0], j.Origin)
 	for _, s := range g.Topology().Region(j.Origin) {
-		if s != j.Origin && hasAllInputs(g, j, s) {
+		if s != j.Origin {
 			holders = append(holders, s)
+		}
+	}
+	for _, f := range j.Inputs {
+		r.has.Mark(g, f)
+		kept := holders[:0]
+		for _, s := range holders {
+			if r.has.Has(s) {
+				kept = append(kept, s)
+			}
+		}
+		holders = kept
+		if len(holders) == 0 {
+			break
 		}
 	}
 	r.holders = holders
 	if len(holders) == 0 {
 		return j.Origin
 	}
-	return leastLoaded(g, holders, r.Src, &r.ties)
-}
-
-// hasAllInputs reports whether site s holds every input of j.
-func hasAllInputs(g scheduler.GridView, j *job.Job, s topology.SiteID) bool {
-	for _, f := range j.Inputs {
-		if !g.HasReplica(f, s) {
-			return false
-		}
-	}
-	return true
+	return leastLoaded(g.Loads(), holders, r.Src, &r.ties)
 }
 
 // BestCost is an extension: it estimates, for every site, the job's
@@ -249,7 +251,9 @@ type BestCost struct {
 	AvgComputeSec float64 // assumed mean compute time of a queued job
 	CEsPerSite    float64 // assumed processors per site
 
-	best []topology.SiteID // reused per-placement scratch
+	best     []topology.SiteID // reused per-placement scratch
+	transfer []float64         // per site: slowest missing input's fetch time
+	has      scheduler.Holders
 }
 
 // Name implements scheduler.External.
@@ -261,22 +265,19 @@ func (b *BestCost) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 	if ces <= 0 {
 		ces = 1
 	}
+	n := g.NumSites()
+	if cap(b.transfer) < n {
+		b.transfer = make([]float64, n)
+	}
+	transfer := b.transfer[:n]
+	inputTransfer(g, j, &b.has, transfer)
+	loads := g.Loads()
 	bestCost := -1.0
 	best := b.best[:0]
-	for si := 0; si < g.NumSites(); si++ { // site-id order for determinism
+	for si := 0; si < n; si++ { // site-id order for determinism
 		s := topology.SiteID(si)
-		transfer := 0.0
-		for _, f := range j.Inputs {
-			if g.HasReplica(f, s) {
-				continue
-			}
-			t := b.closestTransfer(g, f, s)
-			if t > transfer {
-				transfer = t // inputs fetched in parallel: bound by slowest
-			}
-		}
-		queue := float64(g.Load(s)) * b.AvgComputeSec / ces
-		wait := transfer
+		queue := float64(loads[s]) * b.AvgComputeSec / ces
+		wait := transfer[si]
 		if queue > wait {
 			wait = queue
 		}
@@ -296,14 +297,33 @@ func (b *BestCost) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 	return rng.Pick(b.Src, best)
 }
 
-func (b *BestCost) closestTransfer(g scheduler.GridView, f storage.FileID, to topology.SiteID) float64 {
-	reps := g.Replicas(f)
+// inputTransfer sets transfer[s], for every site s, to the predicted time
+// to pull job j's missing inputs there, each from its closest replica:
+// inputs are fetched in parallel, so the slowest one bounds the whole.
+func inputTransfer(g scheduler.GridView, j *job.Job, has *scheduler.Holders, transfer []float64) {
+	clear(transfer)
+	for _, f := range j.Inputs {
+		reps, size := has.Mark(g, f), g.FileSize(f)
+		for si := range transfer {
+			if has.Has(topology.SiteID(si)) {
+				continue
+			}
+			if t := closestTransfer(g, reps, size, topology.SiteID(si)); t > transfer[si] {
+				transfer[si] = t
+			}
+		}
+	}
+}
+
+// closestTransfer predicts the time to pull size bytes to `to` from the
+// closest of reps (0 when there is no replica).
+func closestTransfer(g scheduler.GridView, reps []topology.SiteID, size float64, to topology.SiteID) float64 {
 	if len(reps) == 0 {
 		return 0
 	}
 	best := -1.0
 	for _, r := range reps {
-		t := g.PredictTransfer(r, to, g.FileSize(f))
+		t := g.PredictTransfer(r, to, size)
 		if best < 0 || t < best {
 			best = t
 		}
@@ -342,19 +362,8 @@ func (a *Adaptive) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 		if g.HasReplica(f, j.Origin) {
 			continue
 		}
-		reps := g.Replicas(f)
-		if len(reps) == 0 {
-			continue
-		}
-		best := -1.0
-		for _, r := range reps {
-			t := g.PredictTransfer(r, j.Origin, g.FileSize(f))
-			if best < 0 || t < best {
-				best = t
-			}
-		}
-		if best > pull {
-			pull = best
+		if t := closestTransfer(g, g.Replicas(f), g.FileSize(f), j.Origin); t > pull {
+			pull = t
 		}
 	}
 	if pull < frac*j.ComputeTime {

@@ -51,10 +51,10 @@ func TestRandomCoversAllSites(t *testing.T) {
 
 func TestLeastLoadedPicksMinimum(t *testing.T) {
 	v := schedtest.NewView(4)
-	v.Loads[0] = 5
-	v.Loads[1] = 2
-	v.Loads[2] = 9
-	v.Loads[3] = 2
+	v.SiteLoads[0] = 5
+	v.SiteLoads[1] = 2
+	v.SiteLoads[2] = 9
+	v.SiteLoads[3] = 2
 	l := LeastLoaded{Src: rng.New(1)}
 	counts := map[topology.SiteID]int{}
 	for i := 0; i < 500; i++ {
@@ -79,8 +79,8 @@ func TestLocal(t *testing.T) {
 func TestDataPresentPrefersReplicaSites(t *testing.T) {
 	v := schedtest.NewView(6)
 	v.Reps[7] = []topology.SiteID{2, 4}
-	v.Loads[2] = 3
-	v.Loads[4] = 1
+	v.SiteLoads[2] = 3
+	v.SiteLoads[4] = 1
 	d := DataPresent{Src: rng.New(1)}
 	if got := d.Place(v, mkJob(0, 7)); got != 4 {
 		t.Fatalf("placed at %d, want least-loaded replica site 4", got)
@@ -89,11 +89,11 @@ func TestDataPresentPrefersReplicaSites(t *testing.T) {
 
 func TestDataPresentFallsBackWithoutReplicas(t *testing.T) {
 	v := schedtest.NewView(5)
-	v.Loads[0] = 1
-	v.Loads[1] = 1
-	v.Loads[2] = 0
-	v.Loads[3] = 1
-	v.Loads[4] = 1
+	v.SiteLoads[0] = 1
+	v.SiteLoads[1] = 1
+	v.SiteLoads[2] = 0
+	v.SiteLoads[3] = 1
+	v.SiteLoads[4] = 1
 	d := DataPresent{Src: rng.New(1)}
 	if got := d.Place(v, mkJob(0, 99)); got != 2 {
 		t.Fatalf("fallback placed at %d, want least-loaded 2", got)
@@ -130,7 +130,7 @@ func TestBestCostAvoidsLongQueues(t *testing.T) {
 	v.Sizes[1] = 1e9
 	v.Reps[1] = []topology.SiteID{2}
 	v.RatePerSec = 100e6 // cheap transfers: 10 s
-	v.Loads[2] = 50      // but site 2 is swamped
+	v.SiteLoads[2] = 50  // but site 2 is swamped
 	b := BestCost{Src: rng.New(1), AvgComputeSec: 300, CEsPerSite: 3}
 	if got := b.Place(v, mkJob(0, 1)); got == 2 {
 		t.Fatal("placed at swamped site despite cheap transfer elsewhere")
@@ -208,8 +208,8 @@ func TestRegionalLeastLoadedAmongHolders(t *testing.T) {
 	origin := topology.SiteID(0)
 	sibs := v.Siblings(origin)
 	v.Reps[1] = []topology.SiteID{sibs[0], sibs[1]}
-	v.Loads[sibs[0]] = 9
-	v.Loads[sibs[1]] = 1
+	v.SiteLoads[sibs[0]] = 9
+	v.SiteLoads[sibs[1]] = 1
 	r := Regional{Src: rng.New(1)}
 	if got := r.Place(v, mkJob(origin, 1)); got != sibs[1] {
 		t.Fatalf("placed at %d, want least-loaded holder %d", got, sibs[1])

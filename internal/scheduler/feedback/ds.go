@@ -19,6 +19,10 @@ type DS struct {
 	Src     *rng.Source
 	Tracker *Tracker
 	Params  Params
+
+	t    ds.Targets
+	ties []topology.SiteID // reused tie set
+	out  []scheduler.Replication
 }
 
 // Name implements scheduler.Dataset.
@@ -30,7 +34,7 @@ func (d *DS) Decide(g scheduler.GridView, self topology.SiteID, popular []schedu
 	if gate > 0 && d.Params.CongestionBoost > 0 {
 		gate /= 1 + d.Params.CongestionBoost*d.Tracker.NetworkBacklogSeconds()
 	}
-	var out []scheduler.Replication
+	out := d.out[:0]
 	for _, p := range popular {
 		if float64(p.Count) < gate {
 			continue
@@ -41,6 +45,7 @@ func (d *DS) Decide(g scheduler.GridView, self topology.SiteID, popular []schedu
 		}
 		out = append(out, scheduler.Replication{File: p.File, Target: d.rank(g, self, p, cands)})
 	}
+	d.out = out
 	return out
 }
 
@@ -49,15 +54,11 @@ func (d *DS) Decide(g scheduler.GridView, self topology.SiteID, popular []schedu
 func (d *DS) targets(g scheduler.GridView, p scheduler.PopularFile, self topology.SiteID) []topology.SiteID {
 	switch d.Params.DSNeighborhood {
 	case 1: // siblings only: cascading stays in-region, never widens
-		return ds.WithoutReplica(g, p.File, g.Topology().Region(self), self)
+		return d.t.Without(g, p.File, g.Topology().Region(self), self)
 	case 2: // whole grid from the start
-		all := make([]topology.SiteID, 0, g.NumSites())
-		for s := 0; s < g.NumSites(); s++ {
-			all = append(all, topology.SiteID(s))
-		}
-		return ds.WithoutReplica(g, p.File, all, self)
+		return d.t.Grid(g, p.File, self)
 	default:
-		return ds.CandidateTargets(g, p.File, self)
+		return d.t.Candidates(g, p.File, self)
 	}
 }
 
@@ -66,8 +67,9 @@ func (d *DS) targets(g scheduler.GridView, p scheduler.PopularFile, self topolog
 // the minimum, collecting exact ties in candidate order and breaking them
 // with one rng.Pick draw, mirroring the baseline's least-loaded pick.
 func (d *DS) rank(g scheduler.GridView, self topology.SiteID, p scheduler.PopularFile, cands []topology.SiteID) topology.SiteID {
+	loads := g.Loads()
 	score := func(s topology.SiteID) float64 {
-		sc := float64(g.Load(s))
+		sc := float64(loads[s])
 		if w := d.Params.QueueWeight; w > 0 && d.Tracker.Ready() {
 			sd := d.Tracker.StalenessDiscount()
 			sc = (1-w*sd)*sc + w*sd*d.Tracker.PredictedLoad(s) + w*d.Tracker.Pressure(s)
@@ -84,18 +86,19 @@ func (d *DS) rank(g scheduler.GridView, self topology.SiteID, p scheduler.Popula
 		}
 		return sc
 	}
-	best := cands[:1]
+	best := append(d.ties[:0], cands[0])
 	bestScore := score(cands[0])
 	for _, c := range cands[1:] {
 		sc := score(c)
 		switch {
 		case sc < bestScore:
 			bestScore = sc
-			best = []topology.SiteID{c}
+			best = append(best[:0], c)
 		case sc == bestScore:
 			best = append(best, c)
 		}
 	}
+	d.ties = best
 	if len(best) == 1 || d.Src == nil {
 		return best[0]
 	}

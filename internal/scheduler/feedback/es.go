@@ -21,6 +21,9 @@ type ES struct {
 	CEsPerSite    float64 // assumed processors per site
 	Tracker       *Tracker
 	Params        Params
+
+	fetch []float64 // per site: divert's input fetch estimate
+	has   scheduler.Holders
 }
 
 // Name implements scheduler.External.
@@ -29,9 +32,10 @@ func (*ES) Name() string { return "JobFeedback" }
 // Place implements scheduler.External.
 func (e *ES) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 	cands := es.DataPresentCandidates(g, j)
-	best := e.rank(g, cands)
+	loads := g.Loads()
+	best := e.rank(loads, cands)
 	if e.Params.SpreadSeconds > 0 && e.Tracker.Ready() {
-		if alt, ok := e.divert(g, j, best); ok {
+		if alt, ok := e.divert(g, loads, j, best); ok {
 			return alt
 		}
 	}
@@ -39,11 +43,11 @@ func (e *ES) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 }
 
 // effLoad is the telemetry-blended queue estimate for site s. With
-// QueueWeight zero it is exactly float64(g.Load(s)) — the conversion of an
+// QueueWeight zero it is exactly float64(loads[s]) — the conversion of an
 // int queue length is lossless, so score comparisons and tie sets match
 // the static baseline's integer comparisons bit for bit.
-func (e *ES) effLoad(g scheduler.GridView, s topology.SiteID) float64 {
-	load := float64(g.Load(s))
+func (e *ES) effLoad(loads []int, s topology.SiteID) float64 {
+	load := float64(loads[s])
 	if w := e.Params.QueueWeight; w > 0 && e.Tracker.Ready() {
 		d := e.Tracker.StalenessDiscount()
 		load = (1-w*d)*load + w*d*e.Tracker.PredictedLoad(s) + w*e.Tracker.Pressure(s)
@@ -53,8 +57,8 @@ func (e *ES) effLoad(g scheduler.GridView, s topology.SiteID) float64 {
 
 // score ranks candidate sites: blended load plus fault penalty, in
 // equivalent queued jobs.
-func (e *ES) score(g scheduler.GridView, s topology.SiteID) float64 {
-	sc := e.effLoad(g, s)
+func (e *ES) score(loads []int, s topology.SiteID) float64 {
+	sc := e.effLoad(loads, s)
 	if e.Params.FaultWeight > 0 {
 		sc += e.Params.FaultWeight * e.Tracker.FaultPenalty(s)
 	}
@@ -65,11 +69,11 @@ func (e *ES) score(g scheduler.GridView, s topology.SiteID) float64 {
 // candidate order and breaking them with one rng.Pick draw — the same
 // structure (and therefore the same stream consumption) as the static
 // policies' least-loaded selection.
-func (e *ES) rank(g scheduler.GridView, cands []topology.SiteID) topology.SiteID {
+func (e *ES) rank(loads []int, cands []topology.SiteID) topology.SiteID {
 	best := cands[:1]
-	bestScore := e.score(g, cands[0])
+	bestScore := e.score(loads, cands[0])
 	for _, c := range cands[1:] {
-		sc := e.score(g, c)
+		sc := e.score(loads, c)
 		switch {
 		case sc < bestScore:
 			bestScore = sc
@@ -91,11 +95,12 @@ func (e *ES) rank(g scheduler.GridView, cands []topology.SiteID) topology.SiteID
 // wins by more than SpreadSeconds (hysteresis). The search is a
 // deterministic first-wins argmin: no extra RNG draws, so seeds stay
 // comparable across SpreadSeconds settings.
-func (e *ES) divert(g scheduler.GridView, j *job.Job, holder topology.SiteID) (topology.SiteID, bool) {
-	holderCost := e.siteCost(g, j, holder)
-	if e.queueSeconds(g, holder) <= e.Params.SpreadSeconds {
+func (e *ES) divert(g scheduler.GridView, loads []int, j *job.Job, holder topology.SiteID) (topology.SiteID, bool) {
+	if e.queueSeconds(g, loads, holder) <= e.Params.SpreadSeconds {
 		return 0, false
 	}
+	e.fetchAll(g, j)
+	holderCost := e.siteCost(g, loads, holder)
 	bestCost := holderCost
 	best := holder
 	for s := 0; s < g.NumSites(); s++ {
@@ -103,7 +108,7 @@ func (e *ES) divert(g scheduler.GridView, j *job.Job, holder topology.SiteID) (t
 		if sid == holder {
 			continue
 		}
-		if c := e.siteCost(g, j, sid); c < bestCost {
+		if c := e.siteCost(g, loads, sid); c < bestCost {
 			bestCost = c
 			best = sid
 		}
@@ -115,7 +120,7 @@ func (e *ES) divert(g scheduler.GridView, j *job.Job, holder topology.SiteID) (t
 }
 
 // queueSeconds estimates how long site s's current queue takes to drain.
-func (e *ES) queueSeconds(g scheduler.GridView, s topology.SiteID) float64 {
+func (e *ES) queueSeconds(g scheduler.GridView, loads []int, s topology.SiteID) float64 {
 	ces := e.CEsPerSite
 	if c := g.CEs(s); c > 0 {
 		ces = float64(c)
@@ -123,37 +128,52 @@ func (e *ES) queueSeconds(g scheduler.GridView, s topology.SiteID) float64 {
 	if ces <= 0 {
 		ces = 1
 	}
-	return e.effLoad(g, s) * e.AvgComputeSec / ces
+	return e.effLoad(loads, s) * e.AvgComputeSec / ces
 }
 
-// siteCost estimates job j's wait at site s: the larger of queue drain and
-// input fetch time (fetches overlap queueing), plus the fault penalty
-// expressed in seconds.
-func (e *ES) siteCost(g scheduler.GridView, j *job.Job, s topology.SiteID) float64 {
-	fetch := 0.0
+// fetchAll estimates, for every site, the time to fetch job j's missing
+// inputs there: each from its cheapest congestion-penalized replica, the
+// slowest input bounding the whole (inputs fetch in parallel).
+func (e *ES) fetchAll(g scheduler.GridView, j *job.Job) {
+	n := g.NumSites()
+	if cap(e.fetch) < n {
+		e.fetch = make([]float64, n)
+	}
+	e.fetch = e.fetch[:n]
+	clear(e.fetch)
 	for _, f := range j.Inputs {
-		if g.HasReplica(f, s) {
-			continue
-		}
-		reps := g.Replicas(f)
+		reps, size := e.has.Mark(g, f), g.FileSize(f)
 		if len(reps) == 0 {
 			continue
 		}
-		best := -1.0
-		for _, r := range reps {
-			t := g.PredictTransfer(r, s, g.FileSize(f))
-			if e.Params.CongestionWeight > 0 {
-				t += e.Params.CongestionWeight * e.Tracker.RouteBacklogSeconds(r, s)
+		for si := range e.fetch {
+			s := topology.SiteID(si)
+			if e.has.Has(s) {
+				continue
 			}
-			if best < 0 || t < best {
-				best = t
+			best := -1.0
+			for _, r := range reps {
+				t := g.PredictTransfer(r, s, size)
+				if e.Params.CongestionWeight > 0 {
+					t += e.Params.CongestionWeight * e.Tracker.RouteBacklogSeconds(r, s)
+				}
+				if best < 0 || t < best {
+					best = t
+				}
 			}
-		}
-		if best > fetch {
-			fetch = best // inputs fetch in parallel: bound by the slowest
+			if best > e.fetch[si] {
+				e.fetch[si] = best
+			}
 		}
 	}
-	cost := e.queueSeconds(g, s)
+}
+
+// siteCost estimates the job's wait at site s: the larger of queue drain
+// and input fetch time (fetches overlap queueing; fetchAll must have run
+// for the job), plus the fault penalty expressed in seconds.
+func (e *ES) siteCost(g scheduler.GridView, loads []int, s topology.SiteID) float64 {
+	fetch := e.fetch[s]
+	cost := e.queueSeconds(g, loads, s)
 	if fetch > cost {
 		cost = fetch
 	}

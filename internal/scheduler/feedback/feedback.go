@@ -262,7 +262,7 @@ func (t *Tracker) Observe(s Sample) {
 }
 
 // NoteDispatch records that the ES just sent a job to site s. Until the
-// next GIS refresh this dispatch is invisible in Load snapshots; the
+// next GIS refresh this dispatch is invisible in load snapshots; the
 // pressure counter corrects for the resulting herding.
 func (t *Tracker) NoteDispatch(s topology.SiteID) {
 	if t == nil {

@@ -100,7 +100,7 @@ func TestESZeroWeightMatchesDataPresent(t *testing.T) {
 	v := schedtest.NewView(6)
 	v.Reps[storage.FileID(1)] = []topology.SiteID{1, 2, 4}
 	v.Reps[storage.FileID(2)] = []topology.SiteID{2, 4}
-	v.Loads = map[topology.SiteID]int{0: 5, 1: 2, 2: 2, 3: 0, 4: 2, 5: 1}
+	v.SiteLoads = map[topology.SiteID]int{0: 5, 1: 2, 2: 2, 3: 0, 4: 2, 5: 1}
 
 	fb := &ES{Src: rng.New(42)}
 	base := es.DataPresent{Src: rng.New(42)}
@@ -129,7 +129,7 @@ func TestDSZeroWeightMatchesLeastLoaded(t *testing.T) {
 	v.Reps[storage.FileID(2)] = []topology.SiteID{0, 3}
 	v.Sizes[storage.FileID(1)] = 1e9
 	v.Sizes[storage.FileID(2)] = 2e9
-	v.Loads = map[topology.SiteID]int{1: 1, 2: 1, 4: 1, 5: 3}
+	v.SiteLoads = map[topology.SiteID]int{1: 1, 2: 1, 4: 1, 5: 3}
 
 	fb := &DS{Src: rng.New(7)}
 	base := ds.LeastLoaded{Src: rng.New(7)}
@@ -153,7 +153,7 @@ func TestDSZeroWeightMatchesLeastLoaded(t *testing.T) {
 func TestESQueueWeightSteersAwayFromStaleHotspot(t *testing.T) {
 	v := schedtest.NewView(4)
 	v.Reps[storage.FileID(1)] = []topology.SiteID{1, 2}
-	v.Loads = map[topology.SiteID]int{1: 0, 2: 1} // stale GIS: site 1 looks better
+	v.SiteLoads = map[topology.SiteID]int{1: 0, 2: 1} // stale GIS: site 1 looks better
 
 	p := DefaultParams()
 	p.SpreadSeconds = 0 // isolate the ranking term

@@ -11,12 +11,14 @@ import (
 // View is a fake scheduler.GridView backed by plain maps.
 type View struct {
 	Topo       *topology.Topology
-	Loads      map[topology.SiteID]int
+	SiteLoads  map[topology.SiteID]int // absent = 0
 	Reps       map[storage.FileID][]topology.SiteID
 	Sizes      map[storage.FileID]float64
 	Congest    map[[2]topology.SiteID]int
 	CECounts   map[topology.SiteID]int // per-site CEs; absent = 1
 	RatePerSec float64                 // bytes/sec used by PredictTransfer; 0 = instant
+
+	loads []int // Loads' vector, refilled per call
 }
 
 // NewView builds a fake over a star topology with n sites.
@@ -27,7 +29,7 @@ func NewView(n int) *View {
 	}
 	return &View{
 		Topo:       topo,
-		Loads:      make(map[topology.SiteID]int),
+		SiteLoads:  make(map[topology.SiteID]int),
 		Reps:       make(map[storage.FileID][]topology.SiteID),
 		Sizes:      make(map[storage.FileID]float64),
 		Congest:    make(map[[2]topology.SiteID]int),
@@ -60,8 +62,14 @@ func (v *View) Siblings(s topology.SiteID) []topology.SiteID {
 // NumSites implements scheduler.GridView.
 func (v *View) NumSites() int { return v.Topo.NumSites() }
 
-// Load implements scheduler.GridView.
-func (v *View) Load(s topology.SiteID) int { return v.Loads[s] }
+// Loads implements scheduler.GridView.
+func (v *View) Loads() []int {
+	v.loads = v.loads[:0]
+	for s := 0; s < v.NumSites(); s++ {
+		v.loads = append(v.loads, v.SiteLoads[topology.SiteID(s)])
+	}
+	return v.loads
+}
 
 // CEs implements scheduler.GridView.
 func (v *View) CEs(s topology.SiteID) int {

@@ -22,8 +22,11 @@ import (
 type GridView interface {
 	// NumSites returns the number of sites on the grid.
 	NumSites() int
-	// Load returns a site's load (number of jobs waiting to run).
-	Load(topology.SiteID) int
+	// Loads returns every site's load (number of jobs waiting to run),
+	// indexed by site id. A decision reads it once and indexes it. The
+	// slice is owned by the view: it is valid within the current event
+	// and must not be modified.
+	Loads() []int
 	// CEs returns a site's compute-element count (static capacity
 	// information any grid information index publishes).
 	CEs(topology.SiteID) int
@@ -71,8 +74,15 @@ type PopularFile struct {
 	Count int
 	// ByRequester breaks Count down by the site that triggered the
 	// access (the execution site of the job, or the site that fetched a
-	// copy from here). Used by the DataBestClient extension.
-	ByRequester map[topology.SiteID]int
+	// copy from here), in ascending site order; sites that made no
+	// request are absent. Used by the DataBestClient extension.
+	ByRequester []RequesterCount
+}
+
+// RequesterCount is one site's share of a PopularFile's accesses.
+type RequesterCount struct {
+	Site  topology.SiteID
+	Count int
 }
 
 // Replication is a DS decision: push File from the deciding site to Target.

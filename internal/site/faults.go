@@ -26,7 +26,12 @@ func (s *Site) AvailableCEs() int { return s.ces - s.failedCEs }
 
 // PopularityOf returns the access count recorded for f in the current
 // DS window (used to decide whether a lost replica is worth restoring).
-func (s *Site) PopularityOf(f storage.FileID) int { return s.popularity[f] }
+func (s *Site) PopularityOf(f storage.FileID) int {
+	if i := s.popIndex(f); i >= 0 {
+		return s.pop[i].count
+	}
+	return 0
+}
 
 // Crash takes the site down. Running jobs are killed (their completion
 // events cancelled) and returned in job-id order; queued jobs either
@@ -76,14 +81,8 @@ func (s *Site) Crash(keepQueued bool) (running, dropped []*job.Job) {
 	clear(s.fetching)
 	clear(s.transient)
 
-	// The DS's popularity window is lost with the site. The requester
-	// maps are reclaimable immediately: nothing was lent out.
-	clear(s.popularity)
-	for f, m := range s.popByReq {
-		clear(m)
-		s.reqPool = append(s.reqPool, m)
-		delete(s.popByReq, f)
-	}
+	// The DS's popularity window is lost with the site.
+	s.pop = s.pop[:0]
 
 	if s.holds != 0 {
 		panic(fmt.Sprintf("site %d: crash with %d data holds left", s.id, s.holds))

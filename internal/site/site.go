@@ -7,6 +7,7 @@ package site
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"chicsim/internal/catalog"
@@ -77,11 +78,14 @@ type Site struct {
 	down      bool
 	failedCEs int
 
-	popularity map[storage.FileID]int
-	popByReq   map[storage.FileID]map[topology.SiteID]int
-	popBuf     []scheduler.PopularFile   // DrainPopularity output, reused per drain
-	lentReq    []map[topology.SiteID]int // ByRequester maps lent out until the next drain
-	reqPool    []map[topology.SiteID]int // cleared requester maps ready for reuse
+	// The DS popularity window: one entry per file accessed since the
+	// last drain, found by linear search (windows hold a handful of
+	// files). popLent is the previous window, whose requester slices the
+	// last drain's output still references; the next drain swaps the two
+	// and reuses the older one's storage.
+	pop     []popEntry
+	popLent []popEntry
+	popBuf  []scheduler.PopularFile // DrainPopularity output, reused per drain
 
 	onDone func(*job.Job)
 
@@ -103,20 +107,18 @@ func New(eng *desim.Engine, topo *topology.Topology, cat *catalog.Catalog, mover
 		speed = 1
 	}
 	s := &Site{
-		id:         cfg.ID,
-		ces:        cfg.CEs,
-		speed:      speed,
-		eng:        eng,
-		topo:       topo,
-		cat:        cat,
-		mover:      mover,
-		ls:         lsched,
-		waiting:    make(map[storage.FileID][]*job.Job),
-		fetching:   make(map[storage.FileID]bool),
-		transient:  make(map[storage.FileID]int),
-		popularity: make(map[storage.FileID]int),
-		popByReq:   make(map[storage.FileID]map[topology.SiteID]int),
-		onDone:     onDone,
+		id:        cfg.ID,
+		ces:       cfg.CEs,
+		speed:     speed,
+		eng:       eng,
+		topo:      topo,
+		cat:       cat,
+		mover:     mover,
+		ls:        lsched,
+		waiting:   make(map[storage.FileID][]*job.Job),
+		fetching:  make(map[storage.FileID]bool),
+		transient: make(map[storage.FileID]int),
+		onDone:    onDone,
 	}
 	s.store = storage.New(cfg.Capacity, func(f storage.FileID) {
 		cat.Deregister(f, s.id)
@@ -448,22 +450,49 @@ func (s *Site) complete(j *job.Job) {
 	s.trySchedule()
 }
 
+// popEntry is one file's access tally in the DS popularity window.
+type popEntry struct {
+	file       storage.FileID
+	count      int
+	requesters []scheduler.RequesterCount // ascending site order
+}
+
+// popIndex returns f's index in the popularity window, or -1.
+func (s *Site) popIndex(f storage.FileID) int {
+	for i := range s.pop {
+		if s.pop[i].file == f {
+			return i
+		}
+	}
+	return -1
+}
+
 // recordAccess counts one request for f at this site on behalf of
 // requester (a job's origin site or a remote fetching site).
 func (s *Site) recordAccess(f storage.FileID, requester topology.SiteID) {
-	s.popularity[f]++
-	m := s.popByReq[f]
-	if m == nil {
-		if n := len(s.reqPool); n > 0 {
-			m = s.reqPool[n-1]
-			s.reqPool[n-1] = nil
-			s.reqPool = s.reqPool[:n-1]
+	i := s.popIndex(f)
+	if i < 0 {
+		// Reuse the truncated entry's requester storage, if any.
+		i = len(s.pop)
+		if i < cap(s.pop) {
+			s.pop = s.pop[:i+1]
+			s.pop[i].requesters = s.pop[i].requesters[:0]
 		} else {
-			m = make(map[topology.SiteID]int)
+			s.pop = append(s.pop, popEntry{})
 		}
-		s.popByReq[f] = m
+		s.pop[i].file, s.pop[i].count = f, 0
 	}
-	m[requester]++
+	e := &s.pop[i]
+	e.count++
+	k := 0
+	for k < len(e.requesters) && e.requesters[k].Site < requester {
+		k++
+	}
+	if k < len(e.requesters) && e.requesters[k].Site == requester {
+		e.requesters[k].Count++
+		return
+	}
+	e.requesters = slices.Insert(e.requesters, k, scheduler.RequesterCount{Site: requester, Count: 1})
 }
 
 // RecordRemoteRequest counts a remote site fetching f from here — a use of
@@ -501,25 +530,16 @@ func (s *Site) CachedIdleFiles() []storage.FileID {
 // "keeps track of the popularity of each dataset locally available"),
 // ordered most-popular first (ties by file id for determinism).
 //
-// The returned slice and the ByRequester maps inside it are reused
+// The returned slice and the ByRequester slices inside it are reused
 // backing storage: they are valid until the next DrainPopularity call —
 // the DS wake that drains them consumes them synchronously.
 func (s *Site) DrainPopularity() []scheduler.PopularFile {
-	// The previous drain's ByRequester maps have been consumed by now;
-	// reclaim them for reuse.
-	for i, m := range s.lentReq {
-		clear(m)
-		s.reqPool = append(s.reqPool, m)
-		s.lentReq[i] = nil
-	}
-	s.lentReq = s.lentReq[:0]
-
 	out := s.popBuf[:0]
-	for f, n := range s.popularity {
-		if !s.store.Peek(f) {
+	for _, e := range s.pop {
+		if !s.store.Peek(e.file) {
 			continue
 		}
-		out = append(out, scheduler.PopularFile{File: f, Count: n, ByRequester: s.popByReq[f]})
+		out = append(out, scheduler.PopularFile{File: e.file, Count: e.count, ByRequester: e.requesters})
 	}
 	// Insertion sort: file ids are unique, so (Count desc, File asc) is a
 	// total order and any sort yields the same result as sort.Slice did —
@@ -534,11 +554,9 @@ func (s *Site) DrainPopularity() []scheduler.PopularFile {
 			out[k-1], out[k] = b, a
 		}
 	}
-	for _, m := range s.popByReq {
-		s.lentReq = append(s.lentReq, m)
-	}
-	clear(s.popByReq)
-	clear(s.popularity)
+	// Lend this window's requester slices out until the next drain and
+	// start the new window on the previous one's storage.
+	s.pop, s.popLent = s.popLent[:0], s.pop
 	s.popBuf = out
 	return out
 }
